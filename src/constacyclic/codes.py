@@ -3,9 +3,11 @@
 A code setting is the triple (F_q, n, lambda) with gcd(n, q) = 1; the
 codes of exponent t live in R_{n,lambda^t} = F_q[X]/(X^n - lambda^t) and
 are determined by a check set inside P_{n,lambda^t}, the residues mod nr
-congruent to t mod r.  Check and generator polynomials come from the
-root-of-unity tower and are cached lazily, so purely set-theoretic work
-never builds a field extension.
+congruent to t mod r.  Check and generator polynomials are cached lazily,
+so purely set-theoretic work never builds a field extension.  Only the
+smaller of the check set and its complement is expanded from the
+root-of-unity tower; the other polynomial is the exact quotient of
+X^n - lambda^t by it over F_q.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from functools import cached_property, lru_cache
 
 from . import gf
 from .arith import Residue, cosets_of, factorize
-from .errors import NonUnit, NotInvariant, SettingMismatch, TooLarge
+from .errors import Internal, NonUnit, NotInvariant, SettingMismatch, TooLarge
 from .gf import FieldElement, FieldSpec, Poly
 
 _ENUM_LIMIT = 1 << 25
@@ -236,12 +238,24 @@ class ConstaCode:
         return len(self.check.elems)
 
     @cached_property
-    def check_poly(self) -> Poly:
-        return gf.poly_from_root_set(self.setting.tower, self.check)
+    def _polys(self) -> tuple[Poly, Poly]:
+        """(check_poly, gen_poly); only the smaller root set is expanded."""
+        st = self.setting
+        check, rest = self.check, self.check.complement()
+        swap = len(rest) < len(check)
+        small = gf.poly_from_root_set(st.tower, rest if swap else check)
+        other, rem = divmod(st.binomial(self.t), small)
+        if not rem.is_zero:
+            raise Internal("root-set polynomial does not divide X^n - lambda^t")
+        return (other, small) if swap else (small, other)
 
-    @cached_property
+    @property
+    def check_poly(self) -> Poly:
+        return self._polys[0]
+
+    @property
     def gen_poly(self) -> Poly:
-        return gf.poly_from_root_set(self.setting.tower, self.check.complement())
+        return self._polys[1]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ConstaCode) and self.check == other.check

@@ -519,11 +519,20 @@ def certificate(sp: Splitting, result: VerifyResult | None = None) -> dict:
 
 
 def verify_certificate(cert: dict, algebraic="auto") -> tuple[VerifyResult, dict]:
-    """Re-check a certificate dict; returns the verdict and a fresh transcript."""
+    """Re-check a certificate dict; returns the verdict and a fresh transcript.
+
+    Raises ValueError when the certificate is not a dict or its P or sP
+    entry is not a list.
+    """
+    if not isinstance(cert, dict):
+        raise ValueError("certificate must be a JSON object")
     setting = make_setting(int(cert["q"]), int(cert["n"]), cert["lambda"])
     t = int(cert.get("t", 1))
     s = int(cert["s"])
     kind = SplittingKind(cert.get("kind", "type-ii"))
+    for key in ("P", "sP"):
+        if not isinstance(cert[key], list):
+            raise ValueError(f"certificate entry {key!r} must be a list")
     res = _verify(
         setting,
         t,

@@ -12,14 +12,21 @@ A FieldTower places F_q inside the minimal extension F_{q^d} containing
 a primitive nr-th root of unity theta with theta**n equal to the
 embedded constacyclic unit; theta is the candidate with the
 lexicographically least coordinate vector, so towers are reproducible
-too.
+too.  poly_from_root_set expands prod(X - theta**i) in the extension at
+about |S|**2 / 2 extension multiplications, so callers that need a
+complementary pair expand the smaller set and divide (codes.ConstaCode).
+
+Scalar arithmetic works on labels directly.  Fields of order at most
+1024 also offer numpy (add, mul) tables: mul is one gather from the
+field's exp/log pair over its least primitive element, add is built one
+base-p digit at a time.  Only np_tables imports numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product as _iterproduct
 
 from .arith import _mult_order, factorize
@@ -251,6 +258,16 @@ class FieldSpec:
                 k //= p
         return k
 
+    @cached_property
+    def primitive(self) -> int:
+        """Least label of multiplicative order q - 1, found once per field."""
+        if self.q == 2:
+            return 1
+        for a in range(2, self.q):
+            if self.order_of(a) == self.q - 1:
+                return a
+        raise Internal(f"no primitive element found in {self!r}")
+
     def element(self, label: int) -> "FieldElement":
         if not 0 <= label < self.q:
             raise ValueError(f"label {label} out of range for {self!r}")
@@ -259,7 +276,12 @@ class FieldSpec:
     # -- vectorized tables --------------------------------------------------
 
     def np_tables(self):
-        """(add, mul) lookup tables as numpy arrays; small fields only."""
+        """(add, mul) lookup tables as numpy arrays; small fields only.
+
+        mul is one gather from the field's exp/log pair, so building it
+        costs q - 2 scalar multiplications; add is a xor in characteristic
+        2 and otherwise coordinatewise addition, one base-p digit at a time.
+        """
         if self._np_tables is None:
             if self.q > _NP_TABLE_LIMIT:
                 raise TooLarge(
@@ -267,25 +289,28 @@ class FieldSpec:
                 )
             import numpy as np
 
-            q = self.q
-            if self.m == 1:
-                v = np.arange(q, dtype=np.int64)
-                add = (v[:, None] + v[None, :]) % q
-                mul = (v[:, None] * v[None, :]) % q
+            q, p = self.q, self.p
+            g = self.primitive
+            exp = [1]
+            for _ in range(q - 2):
+                exp.append(self.mul(exp[-1], g))
+            exp = np.array(exp, dtype=np.int16)
+            log = np.zeros(q, dtype=np.int64)
+            log[exp] = np.arange(q - 1)
+            mul = exp[(log[:, None] + log[None, :]) % (q - 1)]
+            mul[0, :] = 0
+            mul[:, 0] = 0
+            v = np.arange(q, dtype=np.int16)
+            if p == 2:
+                add = np.bitwise_xor.outer(v, v)
             else:
-                if self.p == 2:
-                    v = np.arange(q, dtype=np.int64)
-                    add = np.bitwise_xor.outer(v, v)
-                else:
-                    add = np.array(
-                        [[self.add(a, b) for b in range(q)] for a in range(q)],
-                        dtype=np.int64,
-                    )
-                mul = np.array(
-                    [[self.mul(a, b) for b in range(q)] for a in range(q)],
-                    dtype=np.int64,
-                )
-            self._np_tables = (add.astype(np.int16), mul.astype(np.int16))
+                add = np.zeros((q, q), dtype=np.int16)
+                place = 1
+                while place < q:
+                    digit = (v // place) % p
+                    add += (digit[:, None] + digit[None, :]) % p * place
+                    place *= p
+            self._np_tables = (add, mul)
         return self._np_tables
 
     def __repr__(self) -> str:
@@ -596,15 +621,6 @@ class FieldTower:
         return f"FieldTower({self.base!r} in {self.ext!r}, d={self.d})"
 
 
-def _primitive_element(F: FieldSpec) -> int:
-    if F.q == 2:
-        return 1
-    for a in range(2, F.q):
-        if F.order_of(a) == F.q - 1:
-            return a
-    raise Internal(f"no primitive element found in {F!r}")
-
-
 _TOWER_CACHE: dict[tuple, FieldTower] = {}
 
 
@@ -628,7 +644,7 @@ def build_tower(setting) -> FieldTower:
     d = _mult_order(F.q % nr, nr) if nr > 1 else 1
     ext = make_field(F.p, F.m * d)
 
-    g = _primitive_element(ext)
+    g = ext.primitive
     if ext is F:
         embed_table = None
     elif F.m == 1:
@@ -660,12 +676,21 @@ def build_tower(setting) -> FieldTower:
 
     lam_ext = lam if embed_table is None else embed_table[lam]
     zeta = ext.pow(g, (ext.q - 1) // nr)
+    # w = zeta**n has order r, so (zeta**k)**n = w**k equals the unit
+    # exactly when k = k0 (mod r) for the k0 < r with w**k0 = lam_ext
+    w = ext.pow(zeta, n)
+    k0, wk = 0, 1
+    while wk != lam_ext:
+        k0, wk = k0 + 1, ext.mul(wk, w)
+        if k0 == r:
+            raise Internal("the unit is not a power of zeta**n")
+    step = ext.pow(zeta, r)
     theta = None
-    zk = 1
-    for k in range(nr):
-        if k:
-            zk = ext.mul(zk, zeta)
-        if math.gcd(k, nr) == 1 and ext.pow(zk, n) == lam_ext:
+    zk = ext.pow(zeta, k0)
+    for k in range(k0, nr, r):
+        if k > k0:
+            zk = ext.mul(zk, step)
+        if math.gcd(k, nr) == 1:
             if theta is None or ext.coords(zk) < ext.coords(theta):
                 theta = zk
     if theta is None:

@@ -1,8 +1,12 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import constacyclic
 from constacyclic import exists_type2, make_setting
 from constacyclic.cli import main
 
@@ -70,6 +74,43 @@ class TestSplitVerify:
         code, out, _ = run(capsys, "verify", "--file", str(path))
         assert code == 1
         assert json.loads(out)["ok"] is False
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[1,2]", '"x"', '{"q": 5, "n": 6, "lambda": "2", "s": 5, "P": 3, "sP": []}'],
+    )
+    def test_malformed_certificate_exits_two(self, capsys, monkeypatch, text):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, err = run(capsys, "verify")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_split_verify_and_code_leave_numpy_unimported(self):
+        """Towers, root-set polynomials and verification need no numpy."""
+        src = os.path.dirname(os.path.dirname(constacyclic.__file__))
+        script = (
+            "import contextlib, io, sys\n"
+            "from constacyclic.cli import main\n"
+            "setting = ['--q', '4', '--n', '21', '--lambda', '0 1']\n"
+            "out = io.StringIO()\n"
+            "with contextlib.redirect_stdout(out):\n"
+            "    assert main(['split', *setting]) == 0\n"
+            "sys.stdin = io.StringIO(out.getvalue())\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['verify']) == 0\n"
+            "    assert main(['code', *setting, '--P', '7,28,49']) == 0\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_split_without_splitting_exits_one(self, capsys):
         code, out, err = run(capsys, "split", "--q", "2", "--n", "5", "--lambda", "1")

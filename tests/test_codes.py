@@ -114,6 +114,25 @@ class TestCodeConstruction:
         assert code.dim == st5.n
         assert poly_to_text(code.gen_poly) == "1"
 
+    def test_polys_match_root_set_expansion(self, tower_friendly):
+        """Whichever side is expanded, both polynomials equal their expansions."""
+        from constacyclic import poly_from_root_set
+
+        rng = random.Random(31)
+        sides = set()
+        for st in rng.sample(tower_friendly, 40):
+            units = [u for u in range(1, st.nr) if math.gcd(u, st.nr) == 1] or [1]
+            t = rng.choice(units)
+            s = random_invariant_set(rng, st, t)
+            for check in (s, s.complement()):
+                code = ConstaCode(check)
+                rest = check.complement()
+                sides.add(len(check.elems) < len(rest.elems))
+                assert code.check_poly == poly_from_root_set(st.tower, check)
+                assert code.gen_poly == poly_from_root_set(st.tower, rest)
+                assert code.check_poly * code.gen_poly == st.binomial(t)
+        assert sides == {True, False}
+
     def test_lattice_inclusion(self, tower_friendly):
         rng = random.Random(23)
         for st in rng.sample(tower_friendly, 12):

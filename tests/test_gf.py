@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from constacyclic import (
     poly_from_text,
     poly_to_text,
 )
+from constacyclic.arith import _mult_order
 from constacyclic.errors import DivideByZero, NotInvariant, NotPrime, TooLarge
 from constacyclic.gf import poly_one, poly_x_pow_minus
 
@@ -96,13 +98,23 @@ class TestFieldArithmetic:
             assert F.from_coords(F.coords(a)) == a
 
     def test_tables_match_scalar_ops(self):
-        for q_spec in [(2, 2), (5, 1), (3, 2)]:
+        full = [(2, 1), (2, 2), (5, 1), (3, 2), (2, 3), (2, 4), (3, 3), (7, 2), (5, 3)]
+        for q_spec in full:
             F = make_field(*q_spec)
             add, mul = F.np_tables()
+            assert add.shape == mul.shape == (F.q, F.q)
             for a in range(F.q):
                 for b in range(F.q):
                     assert add[a, b] == F.add(a, b)
                     assert mul[a, b] == F.mul(a, b)
+        for q_spec in [(2, 8), (7, 3), (2, 10)]:
+            F = make_field(*q_spec)
+            add, mul = F.np_tables()
+            rng = random.Random(F.q)
+            for _ in range(2000):
+                a, b = rng.randrange(F.q), rng.randrange(F.q)
+                assert add[a, b] == F.add(a, b)
+                assert mul[a, b] == F.mul(a, b)
 
 
 class TestPoly:
@@ -170,6 +182,32 @@ class TestTower:
             for b in range(F.q):
                 assert tw.embed(F.mul(a, b)) == E.mul(tw.embed(a), tw.embed(b))
                 assert tw.embed(F.add(a, b)) == E.add(tw.embed(a), tw.embed(b))
+
+    def test_theta_matches_bruteforce_rule(self, sweep):
+        """theta is the least-coordinate unit power zeta**k with (zeta**k)**n = lambda.
+
+        The scan runs over every k < nr, as build_tower once did, for each
+        sweep setting whose extension has at most 2**12 elements.
+        """
+        checked = 0
+        for st in sweep:
+            nr = st.nr
+            d = _mult_order(st.q % nr, nr) if nr > 1 else 1
+            if st.q**d > 1 << 12:
+                continue
+            tw = st.tower
+            E = tw.ext
+            zeta = E.pow(E.primitive, (E.q - 1) // nr)
+            lam = tw.embed(st.lam.label)
+            best = None
+            for k in range(nr):
+                zk = E.pow(zeta, k)
+                if math.gcd(k, nr) == 1 and E.pow(zk, st.n) == lam:
+                    if best is None or E.coords(zk) < E.coords(best):
+                        best = zk
+            assert tw.theta == best, st
+            checked += 1
+        assert checked > 300
 
     def test_project_inverts_embed(self):
         tw = make_setting(9, 8, 2).tower
