@@ -230,29 +230,32 @@ class CosetPartition:
 
 
 def cosets_of(ambient: Iterable[int], generator: Residue) -> CosetPartition:
-    """Partition a closed residue set into orbits of the generator."""
+    """Partition a closed residue set into orbits of the generator.
+
+    Each walk removes its orbit from the unvisited set.  Multiplication
+    by a unit permutes Z_m, so a walk that stops anywhere but at its
+    start has stepped outside the ambient set.
+    """
     m = generator.modulus
     if not generator.is_unit:
         raise NonUnit(f"{generator.value} is not a unit mod {m}")
     g = generator.value
     amb = sorted({x % m for x in ambient})
-    amb_set = set(amb)
-    for x in amb:
-        if (x * g) % m not in amb_set:
-            raise NotClosed(
-                f"{x}*{g} mod {m} leaves the ambient set"
-            )
-    seen: set[int] = set()
+    unvisited = set(amb)
     cosets = []
     for x in amb:
-        if x in seen:
+        if x not in unvisited:
             continue
         orbit = []
         y = x
-        while y not in seen:
-            seen.add(y)
+        while y in unvisited:
+            unvisited.remove(y)
             orbit.append(y)
             y = (y * g) % m
+        if y != x:
+            amb_set = set(amb)
+            bad = min(z for z in amb if (z * g) % m not in amb_set)
+            raise NotClosed(f"{bad}*{g} mod {m} leaves the ambient set")
         cosets.append(tuple(sorted(orbit)))
     index = {}
     for i, coset in enumerate(cosets):

@@ -3,7 +3,8 @@
 Every subcommand prints one JSON document (the atlas prints one JSON
 object per line) on stdout and keeps diagnostics on stderr.  Exit codes:
 0 for success or a true verdict, 1 for a verified-false verdict, 2 for
-usage errors.
+usage errors and every other failure, which prints one ``error:`` line
+on stderr instead of a traceback.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import sys
 from . import codes, duadic, gf, mds
 from .arith import divisors
 from .codes import ConstaCode, IndexSet, make_setting
-from .errors import TooLarge
+from .errors import DivideByZero, Internal, NoSplitting, TooLarge
 
 
 def _parse_lambda(field, text: str) -> int:
@@ -227,7 +228,16 @@ def main(argv=None) -> int:
         return args.func(args)
     except BrokenPipeError:
         return 0
-    except (ValueError, TooLarge, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (
+        ValueError,
+        TooLarge,
+        OSError,
+        json.JSONDecodeError,
+        KeyError,
+        NoSplitting,
+        Internal,
+        DivideByZero,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -154,17 +154,20 @@ class IndexSet:
 
     def __post_init__(self):
         st = self.setting
+        nr, q, r = st.nr, st.q, st.r
         t = st.unit_check(self.t)
         object.__setattr__(self, "t", t)
-        elems = tuple(sorted({x % st.nr for x in self.elems}))
+        members = {x % nr for x in self.elems}
+        elems = tuple(sorted(members))
         object.__setattr__(self, "elems", elems)
-        tr = t % st.r
-        for x in elems:
-            if x % st.r != tr:
-                raise ValueError(
-                    f"residue {x} lies outside P for exponent {t} (mod {st.nr})"
-                )
-        if {(st.q * x) % st.nr for x in elems} != set(elems):
+        tr = t % r
+        if not {x % r for x in members} <= {tr}:
+            x = min(x for x in members if x % r != tr)
+            raise ValueError(
+                f"residue {x} lies outside P for exponent {t} (mod {nr})"
+            )
+        # q is a unit mod nr, so the image is all of the set once inside it
+        if not members.issuperset([(q * x) % nr for x in elems]):
             raise NotInvariant("set is not closed under multiplication by q")
 
     def ambient(self) -> tuple[int, ...]:

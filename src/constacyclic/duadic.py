@@ -15,7 +15,7 @@ exponents are reached by scaling with a unit multiplier.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 
@@ -43,7 +43,13 @@ class SplittingKind(str, Enum):
 
 @dataclass(frozen=True)
 class Splitting:
-    """A certified multiplier splitting (s, P, sP) of P_{n,lambda^t}."""
+    """A certified multiplier splitting (s, P, sP) of P_{n,lambda^t}.
+
+    set_checks is the set-check transcript construct_type2 made for
+    this splitting.  It takes no part in equality, and neither the
+    constructor nor dataclasses.replace can set it, so a hand-made or
+    edited splitting never carries a transcript of other sets.
+    """
 
     setting: CodeSetting
     t: int
@@ -51,6 +57,9 @@ class Splitting:
     p: IndexSet
     sp: IndexSet
     kind: SplittingKind
+    set_checks: VerifyResult | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def codes(self) -> tuple[ConstaCode, ConstaCode]:
         return ConstaCode(self.p), ConstaCode(self.sp)
@@ -101,9 +110,19 @@ def multiplier_group(setting: CodeSetting) -> tuple[int, ...]:
 
 def p0_set(setting: CodeSetting, t: int = 1) -> IndexSet:
     """Members of P_{n,lambda^t} divisible by the r-coprime part of n."""
-    npp = setting.n_r_prime
-    elems = tuple(x for x in setting.p_set(t) if x % npp == 0)
-    return IndexSet(setting, t, elems)
+    t = setting.unit_check(t)
+    return IndexSet(setting, t, tuple(_p0_range(setting, t)))
+
+
+def _p0_range(setting: CodeSetting, t: int) -> range:
+    """P0 in closed form: x = t mod r and x = 0 mod n_r_prime.
+
+    The two moduli are coprime, so P0 is the single class c mod
+    r * n_r_prime inside [0, nr), with n_r members.
+    """
+    r, npp = setting.r, setting.n_r_prime
+    c = npp * ((t % r) * pow(npp, -1, r) % r)
+    return range(c, setting.nr, r * npp)
 
 
 def c0_check_poly(setting: CodeSetting, t: int = 1) -> Poly:
@@ -124,8 +143,13 @@ def exists_type1(setting: CodeSetting) -> bool:
 
 
 def _is_square_mod(a: int, m: int) -> bool:
-    a %= m
-    return any((x * x) % m == a for x in range(m)) or m == 1
+    """Whether a unit a is a square modulo an odd m.
+
+    By the Chinese remainder theorem and Hensel's lemma this holds
+    exactly when a is a quadratic residue mod every prime p dividing m,
+    which Euler's criterion decides.
+    """
+    return all(pow(a, (p - 1) // 2, p) == 1 for p, _ in factorize(m))
 
 
 def _exists_reason(setting: CodeSetting) -> str | None:
@@ -139,17 +163,17 @@ def _exists_reason(setting: CodeSetting) -> str | None:
 
 
 def exists_type2(setting: CodeSetting, *, with_witness: bool = True) -> ExistenceVerdict:
-    """Existence verdict for Type-II splittings, with a certified witness."""
+    """Existence verdict for Type-II splittings, with a certified witness.
+
+    The witness comes from construct_type2, which has already run the
+    set checks once; it carries their transcript for certificate().
+    """
     reason = _exists_reason(setting)
     if reason is None:
         return ExistenceVerdict(False, "none", None)
     if not with_witness:
         return ExistenceVerdict(True, reason, None)
-    witness = construct_type2(setting)
-    res = verify_splitting(witness, algebraic=False)
-    if not res.ok:
-        raise Internal(f"constructed witness failed check {res.first_failure}")
-    return ExistenceVerdict(True, reason, witness)
+    return ExistenceVerdict(True, reason, construct_type2(setting))
 
 
 # ---------------------------------------------------------------------------
@@ -195,18 +219,21 @@ def _even_case_components(setting: CodeSetting) -> dict[int, int]:
 
 
 def _odd_case_components(setting: CodeSetting) -> dict[int, int]:
-    """Square roots of q with one extra factor of 2 in their order."""
+    """Square roots of q with one extra factor of 2 in their order.
+
+    At an odd prime power w = p**v the unit q has either no square root
+    or exactly the two roots +-x, found by Tonelli-Shanks mod p and
+    Hensel lifting; the component is the least root whose order has
+    2-adic valuation one more than that of q.
+    """
     q = setting.q
     out = {}
     for p, v in factorize(setting.n_r_prime):
         w = p**v
         target = nu2(_mult_order(q % w, w)) + 1
-        cands = [
-            x
-            for x in range(1, w)
-            if x % p != 0
-            and (x * x) % w == q % w
-            and nu2(_mult_order(x, w)) == target
+        x = _sqrt_mod_prime_power(q, p, v)
+        cands = [] if x is None else [
+            y for y in {x, w - x} if nu2(_mult_order(y, w)) == target
         ]
         if not cands:
             raise NoSplitting(
@@ -215,6 +242,45 @@ def _odd_case_components(setting: CodeSetting) -> dict[int, int]:
             )
         out[w] = min(cands)
     return out
+
+
+def _sqrt_mod_prime_power(a: int, p: int, v: int) -> int | None:
+    """A square root of the unit a modulo p**v (p odd), or None."""
+    x = _sqrt_mod_prime(a % p, p)
+    if x is None:
+        return None
+    w = p
+    for _ in range(v - 1):
+        w *= p
+        # Newton step: x**2 = a mod w/p lifts to x - (x**2 - a)/(2x) mod w.
+        x = (x - (x * x - a) * pow(2 * x, -1, w)) % w
+    return x
+
+
+def _sqrt_mod_prime(a: int, p: int) -> int | None:
+    """Tonelli-Shanks: a square root of the unit a modulo an odd prime p."""
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    e = nu2(p - 1)
+    odd = (p - 1) >> e
+    z = 2
+    while pow(z, (p - 1) // 2, p) == 1:
+        z += 1
+    c = pow(z, odd, p)
+    x = pow(a, (odd + 1) // 2, p)
+    b = pow(a, odd, p)
+    while b != 1:
+        # least i with b**(2**i) = 1; then fold the matching power of c in
+        i, b2 = 0, b
+        while b2 != 1:
+            b2 = b2 * b2 % p
+            i += 1
+        d = pow(c, 1 << (e - i - 1), p)
+        x = x * d % p
+        c = d * d % p
+        b = b * c % p
+        e = i
+    return x
 
 
 def construct_type1(setting: CodeSetting) -> Splitting:
@@ -261,12 +327,17 @@ def _splitting_from_pairing(setting, s, part, reps, kind) -> Splitting:
 
 
 def construct_type2(setting: CodeSetting) -> Splitting:
-    """Deterministic Type-II (even-like) splitting, when one exists."""
+    """Deterministic Type-II (even-like) splitting, when one exists.
+
+    The set checks run once, here; a failure raises Internal.  The
+    splitting carries their transcript as set_checks, so certificate()
+    adds only the factor-product identity.
+    """
     reason = _exists_reason(setting)
     if reason is None:
         raise NoSplitting("no Type-II splitting for this setting")
     nr = setting.nr
-    p0 = set(p0_set(setting, 1).elems)
+    p0 = set(_p0_range(setting, 1))
     if reason == "TypeI-even-quotient":
         base = construct_type1(setting)
         s = base.s
@@ -280,7 +351,7 @@ def construct_type2(setting: CodeSetting) -> Splitting:
         else:
             comps = _odd_case_components(setting)
         s = _compose_multiplier(setting, 1, comps)
-        outside = tuple(x for x in setting.p_set(1) if x not in p0)
+        outside = set(setting.p_set(1)) - p0
         part = cosets_of(outside, Residue(setting.q, nr)) if outside else None
         if part is None:
             out = Splitting(
@@ -302,6 +373,7 @@ def construct_type2(setting: CodeSetting) -> Splitting:
     res = verify_splitting(out, algebraic=False)
     if not res.ok:
         raise Internal(f"constructed splitting failed check {res.first_failure}")
+    object.__setattr__(out, "set_checks", res)
     return out
 
 
@@ -314,80 +386,100 @@ def verify_splitting(sp: Splitting, algebraic="auto") -> VerifyResult:
 
     algebraic may be True (always multiply the factor polynomials),
     False (set checks only), or "auto" (multiply when the required
-    extension field fits the size cap, otherwise record a skip).
+    extension field fits the size cap, otherwise record a skip).  Every
+    check runs, whatever transcript the splitting carries.
     """
     return _verify(
         sp.setting, sp.t, sp.s, sp.p.elems, sp.sp.elems, sp.kind, algebraic
     )
 
 
-def verify_sets(
-    setting: CodeSetting,
-    t: int,
-    s: int,
-    p_elems,
-    sp_elems,
-    kind: SplittingKind,
-    algebraic="auto",
-) -> VerifyResult:
-    """Like verify_splitting but on raw residue lists (certificate input)."""
-    return _verify(setting, t, s, tuple(p_elems), tuple(sp_elems), kind, algebraic)
+_FACTOR_CHECK = "factor-product-identity"
 
 
 def _verify(setting, t, s, p_elems, sp_elems, kind, algebraic) -> VerifyResult:
+    checks, p, sps, p0 = _set_checks(setting, t, s, p_elems, sp_elems, kind)
+    set_ok = all(c.passed for c in checks)
+    checks.append(
+        _factor_check(setting, t, p, sps, p0, kind, algebraic, set_ok)
+    )
+    return _transcript(checks)
+
+
+def _set_checks(setting, t, s, p_elems, sp_elems, kind):
+    """The set-level checks in transcript order, with the reduced P, sP, P0.
+
+    A residue reduced mod nr lies in P_{n,lambda^t} exactly when it is
+    congruent to t mod r.  q is a unit mod nr, so q*X = X exactly when
+    q*X lies in X.  Once P and sP are known to lie in the ambient set
+    and the parts are pairwise disjoint, they cover it exactly when
+    their sizes add up to n; otherwise the sets are compared.
+    """
     checks: list[CheckEntry] = []
 
-    def add(name: str, passed: bool, skipped: bool = False):
-        checks.append(CheckEntry(name, passed, skipped))
+    def add(name: str, passed: bool):
+        checks.append(CheckEntry(name, passed))
 
     nr, r, q = setting.nr, setting.r, setting.q
     t %= nr
     s %= nr
+    tr = t % r
     p = {x % nr for x in p_elems}
     sps = {x % nr for x in sp_elems}
-    ambient = set(setting.p_set(t)) if math.gcd(t, nr) == 1 else set()
+    unit = math.gcd(t, nr) == 1
+    p0 = set(_p0_range(setting, t)) if unit else set()
+    ambient_classes = {tr} if unit else set()
 
-    add("t-unit", math.gcd(t, nr) == 1)
+    add("t-unit", unit)
     add(
         "s-in-multiplier-group",
         math.gcd(s, nr) == 1 and s % r == 1 % r,
     )
-    add("p-in-ambient", p <= ambient)
-    add("sp-in-ambient", sps <= ambient)
-    add("p-mu-q-invariant", {(q * x) % nr for x in p} == p)
-    add("sp-mu-q-invariant", {(q * x) % nr for x in sps} == sps)
+    p_in = {x % r for x in p} <= ambient_classes
+    sp_in = {x % r for x in sps} <= ambient_classes
+    add("p-in-ambient", p_in)
+    add("sp-in-ambient", sp_in)
+    add("p-mu-q-invariant", p.issuperset([(q * x) % nr for x in p]))
+    add("sp-mu-q-invariant", sps.issuperset([(q * x) % nr for x in sps]))
     add("sp-equals-s-times-p", {(s * x) % nr for x in p} == sps)
-    p0 = {x for x in ambient if x % setting.n_r_prime == 0}
     if kind == SplittingKind.TYPE_II:
-        add(
-            "parts-disjoint",
-            not (p & sps) and not (p0 & p) and not (p0 & sps),
+        parts = (p0, p, sps)
+        disjoint = (
+            p.isdisjoint(sps) and p0.isdisjoint(p) and p0.isdisjoint(sps)
         )
-        add("parts-cover", (p0 | p | sps) == ambient)
     else:
-        add("parts-disjoint", not (p & sps))
-        add("parts-cover", (p | sps) == ambient)
-    add("s-squared-fixes-p", {(s * s * x) % nr for x in p} == p)
+        parts = (p, sps)
+        disjoint = p.isdisjoint(sps)
+    add("parts-disjoint", disjoint)
+    if p_in and sp_in and disjoint:
+        covered = sum(map(len, parts)) == (setting.n if unit else 0)
+    else:
+        ambient = set(range(tr, nr, r)) if unit else set()
+        covered = set().union(*parts) == ambient
+    add("parts-cover", covered)
+    s2 = (s * s) % nr
+    add("s-squared-fixes-p", {(s2 * x) % nr for x in p} == p)
+    return checks, p, sps, p0
 
-    set_ok = all(c.passed for c in checks)
+
+def _factor_check(setting, t, p, sps, p0, kind, algebraic, set_ok) -> CheckEntry:
+    """The factor-product-identity entry: f_P * f_sP (* f_P0) = X^n - lambda^t."""
     if algebraic is False or not set_ok:
-        add("factor-product-identity", set_ok, skipped=True)
-    else:
-        tower = None
-        try:
-            tower = setting.tower
-        except TooLarge:
-            if algebraic != "auto":
-                raise
-        if tower is None:
-            add("factor-product-identity", True, skipped=True)
-        else:
-            prod = gf.poly_from_root_set(tower, p)
-            prod = prod * gf.poly_from_root_set(tower, sps)
-            if kind == SplittingKind.TYPE_II:
-                prod = prod * gf.poly_from_root_set(tower, p0)
-            add("factor-product-identity", prod == setting.binomial(t))
+        return CheckEntry(_FACTOR_CHECK, set_ok, skipped=True)
+    try:
+        tower = setting.tower
+    except TooLarge:
+        if algebraic != "auto":
+            raise
+        return CheckEntry(_FACTOR_CHECK, True, skipped=True)
+    prod = gf.poly_from_root_set(tower, p)
+    prod = prod * gf.poly_from_root_set(tower, sps)
+    if kind == SplittingKind.TYPE_II:
+        prod = prod * gf.poly_from_root_set(tower, p0)
+    return CheckEntry(_FACTOR_CHECK, prod == setting.binomial(t))
 
+
+def _transcript(checks) -> VerifyResult:
     failed = [c.name for c in checks if not c.skipped and not c.passed]
     return VerifyResult(not failed, tuple(checks), failed[0] if failed else None)
 
@@ -499,10 +591,24 @@ def max_iso_orthogonal_dim(setting: CodeSetting) -> int:
 
 
 def certificate(sp: Splitting, result: VerifyResult | None = None) -> dict:
-    """JSON-ready splitting certificate with its verification transcript."""
+    """JSON-ready splitting certificate with its verification transcript.
+
+    A splitting from construct_type2 reuses the set checks it carries
+    and only adds the factor-product identity (skipped, as in
+    verify_splitting, when the tower exceeds the size cap).  Any other
+    splitting is verified in full.
+    """
     st = sp.setting
-    if result is None:
+    p0 = p0_set(st, sp.t)
+    if result is None and sp.set_checks is None:
         result = verify_splitting(sp)
+    elif result is None:
+        carried = sp.set_checks
+        checks = [c for c in carried.checks if c.name != _FACTOR_CHECK]
+        checks.append(
+            _factor_check(st, sp.t, sp.p, sp.sp, p0, sp.kind, "auto", carried.ok)
+        )
+        result = _transcript(checks)
     return {
         "q": st.q,
         "n": st.n,
@@ -513,7 +619,7 @@ def certificate(sp: Splitting, result: VerifyResult | None = None) -> dict:
         "kind": sp.kind.value,
         "P": list(sp.p.elems),
         "sP": list(sp.sp.elems),
-        "P0": list(p0_set(st, sp.t).elems),
+        "P0": list(p0.elems),
         "checks": result.as_json(),
     }
 
@@ -521,36 +627,34 @@ def certificate(sp: Splitting, result: VerifyResult | None = None) -> dict:
 def verify_certificate(cert: dict, algebraic="auto") -> tuple[VerifyResult, dict]:
     """Re-check a certificate dict; returns the verdict and a fresh transcript.
 
-    Raises ValueError when the certificate is not a dict or its P or sP
-    entry is not a list.
+    Every check runs.  Raises ValueError when the certificate is not a
+    dict, its P or sP entry is not a list, or a field that must be a
+    number (or a residue list of numbers) holds a list or an object.
     """
     if not isinstance(cert, dict):
         raise ValueError("certificate must be a JSON object")
-    setting = make_setting(int(cert["q"]), int(cert["n"]), cert["lambda"])
-    t = int(cert.get("t", 1))
-    s = int(cert["s"])
-    kind = SplittingKind(cert.get("kind", "type-ii"))
-    for key in ("P", "sP"):
-        if not isinstance(cert[key], list):
-            raise ValueError(f"certificate entry {key!r} must be a list")
-    res = _verify(
-        setting,
-        t,
-        s,
-        tuple(int(x) for x in cert["P"]),
-        tuple(int(x) for x in cert["sP"]),
-        kind,
-        algebraic,
-    )
+    try:
+        setting = make_setting(int(cert["q"]), int(cert["n"]), cert["lambda"])
+        t = int(cert.get("t", 1))
+        s = int(cert["s"])
+        kind = SplittingKind(cert.get("kind", "type-ii"))
+        for key in ("P", "sP"):
+            if not isinstance(cert[key], list):
+                raise ValueError(f"certificate entry {key!r} must be a list")
+        p_elems = tuple(int(x) for x in cert["P"])
+        sp_elems = tuple(int(x) for x in cert["sP"])
+        p0 = sorted(int(x) for x in cert["P0"]) if "P0" in cert else None
+        r = int(cert["r"]) if "r" in cert else None
+    except TypeError as exc:
+        raise ValueError(f"certificate field is not a number: {exc}") from exc
+    res = _verify(setting, t, s, p_elems, sp_elems, kind, algebraic)
     checks = list(res.checks)
-    if "P0" in cert:
-        expected = sorted(int(x) for x in cert["P0"])
+    if p0 is not None:
         actual = list(p0_set(setting, t).elems) if math.gcd(t, setting.nr) == 1 else []
-        checks.append(CheckEntry("p0-matches", expected == actual))
-    if "r" in cert:
-        checks.append(CheckEntry("r-matches", int(cert["r"]) == setting.r))
-    failed = [c.name for c in checks if not c.skipped and not c.passed]
-    res = VerifyResult(not failed, tuple(checks), failed[0] if failed else None)
+        checks.append(CheckEntry("p0-matches", p0 == actual))
+    if r is not None:
+        checks.append(CheckEntry("r-matches", r == setting.r))
+    res = _transcript(checks)
     fresh = dict(cert)
     fresh["checks"] = res.as_json()
     return res, fresh

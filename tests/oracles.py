@@ -112,3 +112,83 @@ def sweep_settings(max_q: int = 16, max_n: int = 30):
                     continue
                 out.append(make_setting(q, n, lam.label))
     return out
+
+
+def set_check_reference(setting, t, s, p_elems, sp_elems, kind):
+    """The splitting set checks written out literally, as (name, passed).
+
+    Builds the whole ambient set P_{n,lambda^t} and P0 by filtering it,
+    and compares every set directly.
+    """
+    import math
+
+    from constacyclic import SplittingKind
+
+    nr, r, q = setting.nr, setting.r, setting.q
+    t %= nr
+    s %= nr
+    p = {x % nr for x in p_elems}
+    sps = {x % nr for x in sp_elems}
+    unit = math.gcd(t, nr) == 1
+    ambient = set(setting.p_set(t)) if unit else set()
+    p0 = {x for x in ambient if x % setting.n_r_prime == 0}
+    out = [
+        ("t-unit", unit),
+        ("s-in-multiplier-group", math.gcd(s, nr) == 1 and s % r == 1 % r),
+        ("p-in-ambient", p <= ambient),
+        ("sp-in-ambient", sps <= ambient),
+        ("p-mu-q-invariant", {(q * x) % nr for x in p} == p),
+        ("sp-mu-q-invariant", {(q * x) % nr for x in sps} == sps),
+        ("sp-equals-s-times-p", {(s * x) % nr for x in p} == sps),
+    ]
+    if kind == SplittingKind.TYPE_II:
+        out.append(
+            ("parts-disjoint", not (p & sps) and not (p0 & p) and not (p0 & sps))
+        )
+        out.append(("parts-cover", (p0 | p | sps) == ambient))
+    else:
+        out.append(("parts-disjoint", not (p & sps)))
+        out.append(("parts-cover", (p | sps) == ambient))
+    out.append(("s-squared-fixes-p", {(s * s * x) % nr for x in p} == p))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _squares_mod(m: int) -> frozenset:
+    return frozenset((x * x) % m for x in range(m))
+
+
+def is_square_mod_scan(a: int, m: int) -> bool:
+    """Whether a is a square mod m, by squaring every residue."""
+    return a % m in _squares_mod(m)
+
+
+@lru_cache(maxsize=None)
+def _admissible_root_scan(q_mod_w: int, w: int, p: int):
+    from constacyclic.arith import _mult_order, nu2
+
+    target = nu2(_mult_order(q_mod_w, w)) + 1
+    cands = [
+        x
+        for x in range(1, w)
+        if x % p != 0
+        and (x * x) % w == q_mod_w
+        and nu2(_mult_order(x, w)) == target
+    ]
+    return min(cands) if cands else None
+
+
+def odd_case_components_scan(q: int, m: int):
+    """Least square root of q mod each prime power w of m whose order has
+    one more factor of 2 than q's, by scanning all of range(w); None when
+    some w has no such root."""
+    from constacyclic.arith import factorize
+
+    out = {}
+    for p, v in factorize(m):
+        w = p**v
+        x = _admissible_root_scan(q % w, w, p)
+        if x is None:
+            return None
+        out[w] = x
+    return out

@@ -188,6 +188,38 @@ class TestCosets:
         with pytest.raises(NotClosed):
             cosets_of((1, 2), Residue(3, 7))
 
+    def test_random_subsets_match_orbit_reference(self):
+        """Closed sets split into full orbits; others name the least escapee."""
+        rng = random.Random(21)
+        closed_seen = open_seen = 0
+        for _ in range(300):
+            m = rng.randrange(2, 150)
+            units = [g for g in range(1, m) if math.gcd(g, m) == 1]
+            g = rng.choice(units)
+            orbit_of = {}
+            for x in range(m):
+                orb, y = {x}, (x * g) % m
+                while y != x:
+                    orb.add(y)
+                    y = (y * g) % m
+                orbit_of[x] = tuple(sorted(orb))
+            starts = rng.sample(range(m), rng.randrange(1, min(m, 6) + 1))
+            amb = {y for x in starts for y in orbit_of[x]}
+            if rng.random() < 0.5:
+                for x in rng.sample(sorted(amb), min(len(amb), 3)):
+                    amb.discard(x)
+            escapees = [x for x in sorted(amb) if (x * g) % m not in amb]
+            if escapees:
+                open_seen += 1
+                with pytest.raises(NotClosed, match=rf"^{escapees[0]}\*{g} "):
+                    cosets_of(amb, Residue(g, m))
+                continue
+            closed_seen += 1
+            part = cosets_of(amb, Residue(g, m))
+            assert part.cosets == tuple(sorted({orbit_of[x] for x in amb}))
+            assert all(part.coset_of(x) == orbit_of[x] for x in amb)
+        assert closed_seen > 50 and open_seen > 50
+
     def test_nonunit_generator(self):
         with pytest.raises(NonUnit):
             cosets_of(range(6), Residue(2, 6))

@@ -7,8 +7,9 @@ import sys
 import pytest
 
 import constacyclic
-from constacyclic import exists_type2, make_setting
+from constacyclic import cli, exists_type2, make_setting
 from constacyclic.cli import main
+from constacyclic.errors import DivideByZero, Internal, NoSplitting
 
 import oracles
 
@@ -77,7 +78,15 @@ class TestSplitVerify:
 
     @pytest.mark.parametrize(
         "text",
-        ["[1,2]", '"x"', '{"q": 5, "n": 6, "lambda": "2", "s": 5, "P": 3, "sP": []}'],
+        [
+            "[1,2]",
+            '"x"',
+            '{"q": 5, "n": 6, "lambda": "2", "s": 5, "P": 3, "sP": []}',
+            '{"q": [1], "n": 6, "lambda": "2", "s": 5, "P": [], "sP": []}',
+            '{"q": 5, "n": 6, "lambda": "2", "s": 5, "P": [[1]], "sP": []}',
+            '{"q": 5, "n": 6, "lambda": "2", "s": {"a": 1}, "P": [], "sP": []}',
+            '{"q": 5, "n": 6, "lambda": "2", "s": 5, "P": [], "sP": [], "P0": [[2]]}',
+        ],
     )
     def test_malformed_certificate_exits_two(self, capsys, monkeypatch, text):
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
@@ -85,6 +94,17 @@ class TestSplitVerify:
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("exc", [NoSplitting, Internal, DivideByZero])
+    def test_library_failures_exit_two(self, capsys, monkeypatch, exc):
+        def boom(args):
+            raise exc("forced failure")
+
+        monkeypatch.setattr(cli, "_cmd_split", boom)
+        code, out, err = run(capsys, "split", "--q", "5", "--n", "6", "--lambda", "2")
+        assert code == 2
+        assert out == ""
+        assert err == "error: forced failure\n"
 
     def test_split_verify_and_code_leave_numpy_unimported(self):
         """Towers, root-set polynomials and verification need no numpy."""

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -93,6 +95,17 @@ class TestP0:
         assert p0_set(st4).elems == (7, 28, 49)
         assert p0_set(st5).elems == (9, 21)
 
+    def test_closed_form_matches_filter(self, sweep):
+        for st in sweep:
+            units = [t for t in range(st.nr) if math.gcd(t, st.nr) == 1]
+            for t in units[:4]:
+                want = tuple(x for x in st.p_set(t) if x % st.n_r_prime == 0)
+                assert p0_set(st, t).elems == want, (st, t)
+
+    def test_nonunit_exponent_refused(self, st5):
+        with pytest.raises(NonUnit):
+            p0_set(st5, 2)
+
     def test_cardinality_and_stability(self, sweep):
         rng = random.Random(3)
         for st in rng.sample(sweep, 60):
@@ -153,6 +166,31 @@ class TestExistence:
                 for p, _ in factorize(st.n_r_prime)
             )
             assert _is_square_mod(st.q, st.n_r_prime) == per_prime, st
+
+    def test_square_test_matches_scan(self):
+        from constacyclic.duadic import _is_square_mod
+
+        for q in range(2, 17):
+            for m in range(1, 2001, 2):
+                if math.gcd(q, m) == 1:
+                    assert _is_square_mod(q, m) == oracles.is_square_mod_scan(
+                        q, m
+                    ), (q, m)
+
+    def test_odd_components_match_scan(self):
+        from constacyclic.duadic import _odd_case_components
+
+        for q in range(2, 17):
+            for m in range(1, 2001, 2):
+                if math.gcd(q, m) != 1:
+                    continue
+                want = oracles.odd_case_components_scan(q, m)
+                fake = SimpleNamespace(q=q, n_r_prime=m)
+                if want is None:
+                    with pytest.raises(NoSplitting):
+                        _odd_case_components(fake)
+                else:
+                    assert _odd_case_components(fake) == want, (q, m)
 
     def test_reason_clauses_mutually_exclusive(self, sweep):
         for st in sweep:
@@ -254,6 +292,121 @@ class TestVerify:
         assert res.ok and entry.skipped
         with pytest.raises(TooLarge):
             verify_splitting(sp, algebraic=True)
+
+
+def _mutations(w):
+    """Single-field edits of a witness, as _verify argument tuples."""
+    st, t, s, kind = w.setting, w.t, w.s, w.kind
+    p, sp = w.p.elems, w.sp.elems
+    nr = st.nr
+    flipped = (
+        SplittingKind.TYPE_I if kind == SplittingKind.TYPE_II
+        else SplittingKind.TYPE_II
+    )
+    out = [
+        (t, s, p, sp, kind),
+        (t, s, p, sp, flipped),
+        (t, s, sp, p, kind),
+        (t, s + 1, p, sp, kind),
+    ]
+    if p:
+        out.append((t, s, p[1:], sp, kind))
+    rest = sorted(set(st.p_set(t)) - set(p))
+    if rest:
+        out.append((t, s, p + (rest[0],), sp, kind))
+    if st.r > 1:
+        out.append((t, s, p + ((t + 1) % nr,), sp, kind))
+    if nr > 1:
+        out.append((0, s, p, sp, kind))
+    return out
+
+
+def _count_set_checks(monkeypatch) -> list:
+    """Record one entry per run of the splitting set checks."""
+    from constacyclic import duadic
+
+    calls = []
+    real = duadic._set_checks
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(duadic, "_set_checks", counted)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def sweep60_witnesses():
+    """Type-II witnesses for every setting with q <= 16, n <= 60."""
+    out = []
+    for st in oracles.sweep_settings(16, 60):
+        v = exists_type2(st)
+        if v.exists:
+            out.append(v.witness)
+    return out
+
+
+class TestVerifyOnce:
+    def test_set_checks_match_reference(self, sweep60_witnesses):
+        from constacyclic.duadic import _verify
+
+        assert len(sweep60_witnesses) > 500
+        for w in sweep60_witnesses:
+            for t, s, p, sp, kind in _mutations(w):
+                want = oracles.set_check_reference(w.setting, t, s, p, sp, kind)
+                want.append(
+                    ("factor-product-identity", all(ok for _, ok in want))
+                )
+                res = _verify(w.setting, t, s, p, sp, kind, algebraic=False)
+                got = [(c.name, c.passed) for c in res.checks]
+                assert got == want, (w.setting, t, s, kind)
+                assert res.checks[-1].skipped
+
+    def test_witness_carries_its_set_checks(self, sweep60_witnesses):
+        for w in sweep60_witnesses:
+            assert w.set_checks == verify_splitting(w, algebraic=False)
+
+    def test_certificate_reuse_matches_full_verification(self, tower_friendly):
+        for st in tower_friendly:
+            w = exists_type2(st).witness
+            if w is None:
+                continue
+            assert w.set_checks is not None
+            assert certificate(w) == certificate(w, verify_splitting(w)), st
+
+    def test_certificate_reuse_records_skip_over_cap(self):
+        st = make_setting(5, 22, 2)  # tower would need 5^10 elements
+        w = construct_type2(st)
+        assert certificate(w) == certificate(w, verify_splitting(w))
+        assert certificate(w)["checks"][-1] == {
+            "name": "factor-product-identity", "pass": True, "skipped": True
+        }
+
+    def test_edited_witness_is_verified_again(self, st13):
+        w = construct_type2(st13)
+        bad = dataclasses.replace(w, s=w.s + 1)
+        assert bad.set_checks is None
+        cert = certificate(bad)
+        assert not verify_certificate(cert)[0].ok
+        assert {"name": "s-in-multiplier-group", "pass": False} in cert["checks"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["split", "--q", "13", "--n", "14", "--lambda", "5"],
+            ["split", "--q", "4", "--n", "21", "--lambda", "0 1"],
+            ["split", "--q", "3", "--n", "20", "--lambda", "2"],
+            ["exists", "--q", "5", "--n", "6", "--lambda", "2"],
+        ],
+    )
+    def test_split_runs_set_checks_once(self, argv, monkeypatch, capsys):
+        from constacyclic.cli import main
+
+        calls = _count_set_checks(monkeypatch)
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert calls == [1]
 
 
 class TestOddLike:
@@ -386,6 +539,11 @@ class TestCertificates:
         cert["P"] = cert["P"][:-1] + [1]
         res, _ = verify_certificate(cert)
         assert not res.ok
+
+    def test_verify_runs_every_check(self, st13, monkeypatch):
+        calls = _count_set_checks(monkeypatch)
+        res, _ = verify_certificate(certificate(construct_type2(st13)))
+        assert res.ok and calls == [1, 1]
 
     def test_wrong_p0_detected(self, st13):
         cert = certificate(worked_splitting_len14(st13))
