@@ -25,7 +25,6 @@ from .codes import (
     IsometryDesc,
     annihilator,
     apply_isometry,
-    code_from_check_set,
     code_report,
     contains,
     distance_lower_bound,
@@ -69,11 +68,8 @@ from .gf import (
     element_to_text,
     field_for_order,
     make_field,
-    poly_divides,
     poly_from_root_set,
     poly_from_text,
-    poly_mod,
-    poly_mul,
     poly_to_text,
 )
 from .mds import (

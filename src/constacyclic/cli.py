@@ -20,14 +20,8 @@ from .codes import ConstaCode, IndexSet, make_setting
 from .errors import DivideByZero, Internal, NoSplitting, TooLarge
 
 
-def _parse_lambda(field, text: str) -> int:
-    return gf.element_from_text(field, text)
-
-
 def _setting_from_args(args):
-    field = gf.field_for_order(args.q)
-    lam = _parse_lambda(field, args.lam)
-    return make_setting(args.q, args.n, lam)
+    return make_setting(args.q, args.n, args.lam)
 
 
 def _code_from_args(args) -> ConstaCode:
@@ -117,7 +111,7 @@ def _cmd_mds(args) -> int:
     lam = None
     if args.lam is not None:
         field = gf.field_for_order(args.q)
-        lam = _parse_lambda(field, args.lam)
+        lam = gf.element_from_text(field, args.lam)
     report = mds.mds_report(args.q, lam)
     _emit(report)
     return 0 if report["mds"] in (True, None) else 1

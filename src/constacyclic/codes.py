@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from . import gf
-from .arith import Residue, cosets_of, factorize
+from .arith import MAX_MODULUS, Residue, cosets_of, factorize
 from .errors import Internal, NonUnit, NotInvariant, SettingMismatch, TooLarge
 from .gf import FieldElement, FieldSpec, Poly
 
@@ -28,7 +28,11 @@ INFINITY = math.inf
 
 
 class CodeSetting:
-    """The ambient data (q, n, lambda) with its derived constants."""
+    """The ambient data (q, n, lambda) with its derived constants.
+
+    The index modulus nr is held to the 2^31 residue cap, checked
+    before n is ever factored.
+    """
 
     def __init__(self, field: FieldSpec, n: int, lam):
         if not isinstance(lam, FieldElement):
@@ -46,6 +50,8 @@ class CodeSetting:
         self.field = field
         self.n = n
         self.lam = lam
+        if self.nr > MAX_MODULUS:
+            raise TooLarge(f"modulus n*r = {self.nr} exceeds the 2^31 cap")
         self._cosets: dict[int, object] = {}
 
     @property
@@ -191,12 +197,6 @@ class IndexSet:
         self._same_ambient(other)
         return IndexSet(self.setting, self.t, self.elems + other.elems)
 
-    def intersection(self, other: "IndexSet") -> "IndexSet":
-        self._same_ambient(other)
-        return IndexSet(
-            self.setting, self.t, tuple(set(self.elems) & set(other.elems))
-        )
-
     def _same_ambient(self, other: "IndexSet") -> None:
         if self.setting != other.setting or self.t % self.setting.r != (
             other.t % other.setting.r
@@ -205,9 +205,6 @@ class IndexSet:
 
     def __len__(self) -> int:
         return len(self.elems)
-
-    def __contains__(self, x: int) -> bool:
-        return x % self.setting.nr in self.elems
 
     def _key(self):
         return (self.setting, self.t % self.setting.r, self.elems)
@@ -271,10 +268,6 @@ class ConstaCode:
             f"ConstaCode[{self.setting.n},{self.dim}]"
             f"(t={self.t}, check={list(self.check.elems)})"
         )
-
-
-def code_from_check_set(check: IndexSet) -> ConstaCode:
-    return ConstaCode(check)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 The distinguished subset P0 (residues divisible by the r-coprime part
 of n), Type-I and Type-II splitting existence and construction,
 certificate verification, odd-like companion codes, iso-orthogonality,
-and an exhaustive maximal iso-orthogonal dimension search.
+and the maximal iso-orthogonal dimension in closed form.
 
 Constructions are deterministic: CRT components are the least residues
 satisfying each case's order conditions, and orbit pairing always walks
@@ -96,16 +96,12 @@ class ExistenceVerdict:
 
 
 @lru_cache(maxsize=None)
-def _multiplier_group_cached(setting: CodeSetting) -> tuple[int, ...]:
+def multiplier_group(setting: CodeSetting) -> tuple[int, ...]:
+    """G_{n,r}: units mod nr congruent to 1 mod r, sorted ascending."""
     nr, r = setting.nr, setting.r
     return tuple(
         x for x in range(1 % r, nr, r) if math.gcd(x, nr) == 1
     )
-
-
-def multiplier_group(setting: CodeSetting) -> tuple[int, ...]:
-    """G_{n,r}: units mod nr congruent to 1 mod r, sorted ascending."""
-    return _multiplier_group_cached(setting)
 
 
 def p0_set(setting: CodeSetting, t: int = 1) -> IndexSet:
@@ -537,40 +533,16 @@ def even_dual_is_odd(sp: Splitting) -> bool:
     return pair_ok and (a | b) == amb_neg and (a & b) == p0_neg
 
 
-@lru_cache(maxsize=None)
-def _best_compatible_popcount(length: int) -> int:
-    """Exhaust subsets of one multiplier cycle of cosets.
-
-    A position set A is compatible when A and its shift by one are
-    disjoint and the shift by two fixes A; the best popcount bounds the
-    cosets one cycle can contribute to an iso-orthogonal check set.
-    """
-    full = (1 << length) - 1
-
-    def rot(a: int, k: int) -> int:
-        k %= length
-        return ((a << k) | (a >> (length - k))) & full if k else a
-
-    best = 0
-    for a in range(1 << length):
-        if a & rot(a, 1):
-            continue
-        if rot(a, 2) != a:
-            continue
-        best = max(best, bin(a).count("1"))
-    return best
-
-
 def max_iso_orthogonal_dim(setting: CodeSetting) -> int:
-    """Largest dimension over all iso-orthogonal pairs, by exhaustion.
+    """Largest dimension over all iso-orthogonal pairs, in closed form.
 
     For each multiplier s the compatible check sets factor over the
-    s-cycles of q-cosets, so every cycle is exhausted independently and
-    the best contributions add up.
+    s-cycles of q-cosets.  On a cycle of length L a compatible choice A
+    is disjoint from its shift by one and fixed by the shift by two, so
+    it is every other coset when L is even and empty when L is odd: a
+    cycle of cosets of size c contributes c * L // 2 or nothing.
     """
     part = setting.cosets(1)
-    if len(part.cosets) > 22:
-        raise TooLarge("too many cosets to exhaust iso-orthogonal pairs")
     size_of = {c[0]: len(c) for c in part.cosets}
     nr = setting.nr
     best = 0
@@ -581,7 +553,8 @@ def max_iso_orthogonal_dim(setting: CodeSetting) -> int:
             sizes = {size_of[rep] for rep in orbit}
             if len(sizes) != 1:
                 raise Internal("multiplier cycle mixes coset sizes")
-            total += sizes.pop() * _best_compatible_popcount(len(orbit))
+            if len(orbit) % 2 == 0:
+                total += sizes.pop() * (len(orbit) // 2)
         best = max(best, total)
     return best
 
@@ -628,22 +601,32 @@ def verify_certificate(cert: dict, algebraic="auto") -> tuple[VerifyResult, dict
     """Re-check a certificate dict; returns the verdict and a fresh transcript.
 
     Every check runs.  Raises ValueError when the certificate is not a
-    dict, its P or sP entry is not a list, or a field that must be a
-    number (or a residue list of numbers) holds a list or an object.
+    dict, its P, sP or P0 entry is not a list, or a field that must be
+    an integer (or a residue list of integers) holds a list, an object,
+    a float or a boolean; floats and booleans are refused rather than
+    truncated.
     """
     if not isinstance(cert, dict):
         raise ValueError("certificate must be a JSON object")
+    for key in ("q", "n", "lambda", "t", "s", "r"):
+        if isinstance(cert.get(key), (bool, float)):
+            raise ValueError(
+                f"certificate field {key!r} is not an integer: {cert[key]!r}"
+            )
+    for key in ("P", "sP", "P0"):
+        if key in cert and not isinstance(cert[key], list):
+            raise ValueError(f"certificate entry {key!r} must be a list")
+        kinds = set(map(type, cert.get(key, ())))
+        if bool in kinds or float in kinds:
+            raise ValueError(f"certificate entry {key!r} holds a non-integer")
     try:
         setting = make_setting(int(cert["q"]), int(cert["n"]), cert["lambda"])
         t = int(cert.get("t", 1))
         s = int(cert["s"])
         kind = SplittingKind(cert.get("kind", "type-ii"))
-        for key in ("P", "sP"):
-            if not isinstance(cert[key], list):
-                raise ValueError(f"certificate entry {key!r} must be a list")
-        p_elems = tuple(int(x) for x in cert["P"])
-        sp_elems = tuple(int(x) for x in cert["sP"])
-        p0 = sorted(int(x) for x in cert["P0"]) if "P0" in cert else None
+        p_elems = tuple(map(int, cert["P"]))
+        sp_elems = tuple(map(int, cert["sP"]))
+        p0 = sorted(map(int, cert["P0"])) if "P0" in cert else None
         r = int(cert["r"]) if "r" in cert else None
     except TypeError as exc:
         raise ValueError(f"certificate field is not a number: {exc}") from exc

@@ -331,7 +331,9 @@ def make_field(p: int, m: int = 1) -> FieldSpec:
 
 
 def field_for_order(q: int) -> FieldSpec:
-    """F_q for a prime power q."""
+    """F_q for a prime power q; sizes above the cap are refused unfactored."""
+    if q > MAX_FIELD_SIZE:
+        raise TooLarge(f"field size {q} exceeds 2^20")
     fac = factorize(q) if q >= 2 else ()
     if len(fac) != 1:
         raise ValueError(f"{q} is not a prime power")
@@ -346,44 +348,8 @@ class FieldElement:
     field: FieldSpec
     label: int
 
-    @property
-    def coords(self) -> tuple[int, ...]:
-        return self.field.coords(self.label)
-
-    def _lift(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.field is not self.field:
-                raise SettingMismatch("elements of different fields")
-            return other.label
-        if isinstance(other, int):
-            return other % self.field.p
-        raise TypeError(f"cannot combine FieldElement with {type(other)}")
-
-    def __add__(self, other):
-        return FieldElement(self.field, self.field.add(self.label, self._lift(other)))
-
-    def __sub__(self, other):
-        return FieldElement(self.field, self.field.sub(self.label, self._lift(other)))
-
-    def __mul__(self, other):
-        return FieldElement(self.field, self.field.mul(self.label, self._lift(other)))
-
-    def __truediv__(self, other):
-        return FieldElement(
-            self.field, self.field.mul(self.label, self.field.inv(self._lift(other)))
-        )
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.label))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.field, self.field.pow(self.label, e))
-
     def order(self) -> int:
         return self.field.order_of(self.label)
-
-    def __bool__(self) -> bool:
-        return self.label != 0
 
     def __repr__(self) -> str:
         return f"{element_to_text(self.field, self.label)} in {self.field!r}"
@@ -429,13 +395,6 @@ class Poly:
             out[i] = F.add(out[i], c)
         return Poly(F, tuple(out))
 
-    def __neg__(self) -> "Poly":
-        F = self.field
-        return Poly(F, tuple(F.neg(c) for c in self.coeffs))
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
         F = self.field
@@ -449,10 +408,6 @@ class Poly:
                     if bj:
                         out[i + j] = F.add(out[i + j], F.mul(ai, bj))
         return Poly(F, tuple(out))
-
-    def scale(self, c: int) -> "Poly":
-        F = self.field
-        return Poly(F, tuple(F.mul(c, x) for x in self.coeffs))
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         self._check(other)
@@ -475,9 +430,6 @@ class Poly:
     def __mod__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[1]
 
-    def __floordiv__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[0]
-
     def divides(self, other: "Poly") -> bool:
         """True when self divides other exactly."""
         if self.is_zero:
@@ -491,11 +443,6 @@ class Poly:
             y = F.add(F.mul(y, x), c)
         return y
 
-    def monic(self) -> "Poly":
-        if self.is_zero:
-            return self
-        return self.scale(self.field.inv(self.coeffs[-1]))
-
     def __repr__(self) -> str:
         return f"Poly({poly_to_text(self)!r} over {self.field!r})"
 
@@ -507,18 +454,6 @@ def poly_one(field: FieldSpec) -> Poly:
 def poly_x_pow_minus(field: FieldSpec, n: int, c: int) -> Poly:
     """X**n - c."""
     return Poly(field, (field.neg(c),) + (0,) * (n - 1) + (1,))
-
-
-def poly_mul(a: Poly, b: Poly) -> Poly:
-    return a * b
-
-
-def poly_mod(a: Poly, b: Poly) -> Poly:
-    return a % b
-
-
-def poly_divides(d: Poly, a: Poly) -> bool:
-    return d.divides(a)
 
 
 # -- text format ------------------------------------------------------------
@@ -613,9 +548,6 @@ class FieldTower:
                 img: a for a, img in enumerate(self._embed_table)
             }
         return self._project_map.get(label)
-
-    def theta_power(self, i: int) -> int:
-        return self.theta_pows[i % self.nr]
 
     def __repr__(self) -> str:
         return f"FieldTower({self.base!r} in {self.ext!r}, d={self.d})"

@@ -32,6 +32,44 @@ def _cycle_has_half_cover(length: int) -> bool:
     return False
 
 
+@lru_cache(maxsize=None)
+def best_compatible_popcount(length: int) -> int:
+    """Largest subset A of a length-L cycle that is disjoint from its
+    shift by one and fixed by its shift by two, by trying all 2**L
+    subsets.  Reference for the closed form in max_iso_orthogonal_dim."""
+    full = (1 << length) - 1
+
+    def rot(a: int, k: int) -> int:
+        k %= length
+        return ((a << k) | (a >> (length - k))) & full if k else a
+
+    best = 0
+    for a in range(1 << length):
+        if a & rot(a, 1):
+            continue
+        if rot(a, 2) != a:
+            continue
+        best = max(best, bin(a).count("1"))
+    return best
+
+
+def max_iso_orthogonal_dim_exhaustive(setting) -> int:
+    """Best total over multipliers s of the exhausted s-cycle
+    contributions, each cycle of cosets of size c worth c times its best
+    compatible popcount."""
+    part = _coset_partition(setting, setting.p_set(1))
+    size_of = {c[0]: len(c) for c in part.cosets}
+    best = 0
+    for s in multiplier_group(setting):
+        orbits = orbits_on_cosets(part, Residue(s, setting.nr))
+        total = sum(
+            size_of[orbit[0]] * best_compatible_popcount(len(orbit))
+            for orbit in orbits
+        )
+        best = max(best, total)
+    return best
+
+
 def _coset_partition(setting, elems):
     return cosets_of(elems, Residue(setting.q, setting.nr))
 

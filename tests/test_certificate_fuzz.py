@@ -1,0 +1,98 @@
+"""Single-field mutations of valid certificates through the verify CLI.
+
+Every mutation must end in one of the documented exits (0, 1 or 2) with
+no exception escaping cli.main; a float or a boolean anywhere verify
+reads a number must exit 2 rather than be truncated.
+"""
+
+import contextlib
+import copy
+import io
+import json
+import sys
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from constacyclic import certificate, construct_type2, make_setting
+from constacyclic.cli import main
+
+# fields verify_certificate reads; "checks" is ignored and rewritten
+READ = ("q", "n", "r", "lambda", "t", "s", "kind", "P", "sP", "P0")
+KINDS = ("drop", "float", "bool", "str", "list", "object", "null", "residue")
+
+
+@pytest.fixture(scope="module")
+def certs():
+    out = []
+    # prime field, extension field, and a tower over the size cap
+    for q, n, lam in [(5, 6, 2), (13, 14, 5), (4, 21, "0 1"), (5, 22, 2)]:
+        st_ = make_setting(q, n, lam)
+        out.append((certificate(construct_type2(st_)), st_.nr))
+    return out
+
+
+def verify_exit(cert) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    stdin = sys.stdin
+    sys.stdin = io.StringIO(json.dumps(cert))
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["verify"])
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue(), err.getvalue()
+
+
+def swapped(data, kind, value, nr):
+    if kind == "float":
+        exact = isinstance(value, int) and not isinstance(value, bool)
+        whole = st.just(float(value)) if exact else st.just(1.0)
+        return data.draw(st.one_of(whole, st.floats()))
+    if kind == "bool":
+        return data.draw(st.booleans())
+    if kind == "str":
+        return data.draw(st.one_of(st.just(str(value)), st.text(max_size=4)))
+    if kind == "list":
+        return [value]
+    if kind == "object":
+        return {"a": value}
+    if kind == "null":
+        return None
+    base = value if isinstance(value, int) else 0
+    return data.draw(
+        st.sampled_from([base + nr, base - nr, -1, 0, nr, base + 2**64])
+    )
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    database=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(data=st.data())
+def test_single_field_mutation_ends_in_a_documented_exit(certs, data):
+    cert, nr = data.draw(st.sampled_from(certs))
+    cert = copy.deepcopy(cert)
+    key = data.draw(st.sampled_from(sorted(cert)))
+    kind = data.draw(st.sampled_from(KINDS))
+    if kind == "drop":
+        del cert[key]
+    elif isinstance(cert[key], list) and cert[key] and data.draw(st.booleans()):
+        i = data.draw(st.integers(0, len(cert[key]) - 1))
+        cert[key][i] = swapped(data, kind, cert[key][i], nr)
+    else:
+        cert[key] = swapped(data, kind, cert[key], nr)
+    code, out, err = verify_exit(cert)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == "" and err.startswith("error:")
+    else:
+        assert json.loads(out)["ok"] is (code == 0)
+    if kind in ("float", "bool") and key in READ:
+        assert code == 2, (key, cert.get(key))

@@ -132,6 +132,45 @@ class TestSplitVerify:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
+    def test_inexact_numbers_exit_two(self, capsys, monkeypatch):
+        """Floats and booleans are refused, not truncated by int()."""
+        code, out, _ = run(capsys, "split", "--q", "13", "--n", "14", "--lambda", "5")
+        cert = json.loads(out)
+        changes = [{"P": [float(x) for x in cert["P"]], "s": cert["s"] + 0.5}]
+        changes += [{key: float(cert[key])} for key in ("q", "n", "t", "s", "r")]
+        changes += [{key: True} for key in ("q", "n", "lambda", "t", "s", "r")]
+        for key in ("P", "sP", "P0"):
+            changes.append({key: cert[key][:-1] + [float(cert[key][-1])]})
+            changes.append({key: [True] + cert[key][1:]})
+        for change in changes:
+            monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({**cert, **change})))
+            code, out, err = run(capsys, "verify")
+            assert (code, out) == (2, ""), change
+            assert err.startswith("error:"), change
+
+    @pytest.mark.parametrize(
+        "q,n",
+        [
+            ("2305843009213693951", "5"),
+            ("3", "2305843009213693951"),
+            ("3", "2147483659"),
+        ],
+    )
+    def test_huge_inputs_exit_two_promptly(self, q, n):
+        """q above 2^20 and n*r above 2^31 are refused before any factoring."""
+        src = os.path.dirname(os.path.dirname(constacyclic.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "constacyclic.cli", "exists",
+             "--q", q, "--n", n, "--lambda", "1"],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=5,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:")
+
     def test_split_without_splitting_exits_one(self, capsys):
         code, out, err = run(capsys, "split", "--q", "2", "--n", "5", "--lambda", "1")
         assert code == 1

@@ -71,6 +71,20 @@ class TestSettings:
         with pytest.raises(ValueError):
             make_setting(5, 6, 0)
 
+    def test_modulus_cap_before_factoring(self, monkeypatch):
+        from constacyclic import codes
+
+        assert make_setting(3, 1 << 31, 1).nr == 1 << 31
+
+        def no_factoring(n):
+            raise AssertionError(f"factorized {n}")
+
+        monkeypatch.setattr(codes, "factorize", no_factoring)
+        # n*r just above 2^31 with r = 1 and r = 2, and a huge prime n
+        for q, n, lam in [(3, 2147483659, 1), (5, 1073741827, 4), (3, 2**61 - 1, 1)]:
+            with pytest.raises(TooLarge):
+                make_setting(q, n, lam)
+
     def test_p_set(self, st5):
         assert st5.p_set(1) == (1, 5, 9, 13, 17, 21)
         assert st5.p_set(13) == (1, 5, 9, 13, 17, 21)

@@ -510,13 +510,27 @@ class TestMaxIsoOrthogonalDim:
     def test_search_only_setting(self):
         assert max_iso_orthogonal_dim(make_setting(2, 5, 1)) == 0
 
-    def test_matches_type2_dimension(self, sweep_verdicts):
-        for st, v in sweep_verdicts:
-            if not v.exists or exists_type1(st):
-                continue
-            if len(st.cosets(1).cosets) > 22:
+    def test_matches_type2_dimension(self, sweep60_witnesses):
+        checked = set()
+        for w in sweep60_witnesses:
+            st = w.setting
+            if exists_type1(st):
                 continue
             assert max_iso_orthogonal_dim(st) == (st.n - st.n_r) // 2, st
+            checked.add((st.q, st.n, st.r))
+        # Type-II-only settings with more than 22 cosets
+        assert {(16, 45, 1), (16, 51, 1), (16, 51, 5)} <= checked
+
+    def test_cycle_closed_form_matches_exhaustion(self):
+        for length in range(1, 21):
+            closed = length // 2 if length % 2 == 0 else 0
+            assert oracles.best_compatible_popcount(length) == closed, length
+
+    def test_matches_exhaustive_reference(self, sweep):
+        for st in sweep:
+            assert max_iso_orthogonal_dim(st) == (
+                oracles.max_iso_orthogonal_dim_exhaustive(st)
+            ), st
 
 
 class TestCertificates:

@@ -69,6 +69,19 @@ class TestMakeField:
     def test_instances_cached(self):
         assert make_field(3, 2) is make_field(3, 2)
 
+    def test_field_for_order_refuses_huge_q_unfactored(self, monkeypatch):
+        from constacyclic import gf
+
+        assert gf.field_for_order(1 << 20).q == 1 << 20
+
+        def no_factoring(n):
+            raise AssertionError(f"factorized {n}")
+
+        monkeypatch.setattr(gf, "factorize", no_factoring)
+        for q in [(1 << 20) + 1, 2305843009213693951]:
+            with pytest.raises(TooLarge):
+                gf.field_for_order(q)
+
 
 class TestFieldArithmetic:
     @pytest.mark.parametrize("p,m", [(2, 2), (3, 2), (13, 1), (5, 2), (2, 4)])
