@@ -15,7 +15,6 @@ from .arith import (
     mult_order,
     nu2,
     orbits_on_cosets,
-    pair_even_orbits,
 )
 from .codes import (
     CodeSetting,

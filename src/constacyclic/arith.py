@@ -13,9 +13,9 @@ requests fail loudly instead of degrading.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .errors import BadFrame, NonUnit, NotClosed, NotInvariant, TooLarge
 
@@ -216,17 +216,10 @@ class CosetPartition:
     generator: int
     ambient: tuple[int, ...]
     cosets: tuple[tuple[int, ...], ...]
-    _index: dict = field(compare=False, repr=False, default_factory=dict)
 
     @property
     def reps(self) -> tuple[int, ...]:
         return tuple(c[0] for c in self.cosets)
-
-    def coset_of(self, x: int) -> tuple[int, ...]:
-        return self.cosets[self._index[x % self.modulus]]
-
-    def rep_of(self, x: int) -> int:
-        return self.coset_of(x)[0]
 
 
 def cosets_of(ambient: Iterable[int], generator: Residue) -> CosetPartition:
@@ -257,20 +250,19 @@ def cosets_of(ambient: Iterable[int], generator: Residue) -> CosetPartition:
             bad = min(z for z in amb if (z * g) % m not in amb_set)
             raise NotClosed(f"{bad}*{g} mod {m} leaves the ambient set")
         cosets.append(tuple(sorted(orbit)))
-    index = {}
-    for i, coset in enumerate(cosets):
-        for x in coset:
-            index[x] = i
-    return CosetPartition(m, g, tuple(amb), tuple(cosets), index)
+    return CosetPartition(m, g, tuple(amb), tuple(cosets))
 
 
 def orbits_on_cosets(
     partition: CosetPartition, s: Residue
-) -> tuple[tuple[int, ...], ...]:
-    """Orbits of the multiplier s on the coset set, as representative walks.
+) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Cycles of the multiplier s on the cosets, as walks of cosets.
 
-    Each orbit starts at its least coset representative and follows
-    repeated multiplication by s; orbits are listed by ascending start.
+    s commutes with the generator, so it maps a coset C onto the coset
+    whose least element is min(s*x mod m for x in C); when no coset has
+    that representative, s moves the ambient set.  Each cycle starts at
+    its least coset and follows repeated multiplication by s; cycles are
+    listed by ascending start.
     """
     if s.modulus != partition.modulus:
         raise BadFrame(
@@ -280,40 +272,21 @@ def orbits_on_cosets(
         raise NonUnit(f"{s.value} is not a unit mod {s.modulus}")
     m = partition.modulus
     sv = s.value
-    amb = set(partition.ambient)
-    if {(sv * x) % m for x in amb} != amb:
-        raise NotInvariant(
-            f"{sv} does not fix the ambient set mod {m}"
-        )
+    by_rep = {c[0]: c for c in partition.cosets}
     seen: set[int] = set()
-    orbits = []
-    for rep in partition.reps:
-        if rep in seen:
-            continue
+    cycles = []
+    for coset in partition.cosets:
         walk = []
-        r = rep
-        while r not in seen:
-            seen.add(r)
-            walk.append(r)
-            r = partition.rep_of((sv * r) % m)
-        orbits.append(tuple(walk))
-    return tuple(orbits)
-
-
-def pair_even_orbits(
-    orbits: Iterable[Sequence[int]],
-) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Split the coset set into halves swapped by the multiplier.
-
-    Walking each orbit from its least representative, members are dealt
-    alternately to the first and second half.  Returns None as soon as
-    any orbit has odd length, since no swap partition can exist then.
-    """
-    first: list[int] = []
-    second: list[int] = []
-    for orbit in orbits:
-        if len(orbit) % 2 != 0:
-            return None
-        first.extend(orbit[0::2])
-        second.extend(orbit[1::2])
-    return tuple(sorted(first)), tuple(sorted(second))
+        c = coset
+        while c[0] not in seen:
+            seen.add(c[0])
+            walk.append(c)
+            image = min([(sv * x) % m for x in c])
+            if image not in by_rep:
+                raise NotInvariant(
+                    f"{sv} does not fix the ambient set mod {m}"
+                )
+            c = by_rep[image]
+        if walk:
+            cycles.append(tuple(walk))
+    return tuple(cycles)

@@ -6,10 +6,11 @@ certificate verification, odd-like companion codes, iso-orthogonality,
 and the maximal iso-orthogonal dimension in closed form.
 
 Constructions are deterministic: CRT components are the least residues
-satisfying each case's order conditions, and orbit pairing always walks
-orbits from their least representative.  Existence verdicts depend only
-on (q, n, r); witnesses are produced for exponent t = 1 and other
-exponents are reached by scaling with a unit multiplier.
+satisfying each case's order conditions, and P takes every other coset
+along each multiplier cycle of q-cosets, walked from its least coset.
+Existence verdicts depend only on (q, n, r); witnesses are produced for
+exponent t = 1 and other exponents are reached by scaling with a unit
+multiplier.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .arith import (
     factorize,
     nu2,
     orbits_on_cosets,
-    pair_even_orbits,
 )
 from .codes import CodeSetting, ConstaCode, IndexSet, make_setting
 from .errors import Internal, NonUnit, NoSplitting, TooLarge
@@ -283,6 +283,13 @@ def construct_type1(setting: CodeSetting) -> Splitting:
     """Deterministic Type-I splitting, when one exists."""
     if not exists_type1(setting):
         raise NoSplitting("no Type-I splitting for this setting")
+    s = _type1_multiplier(setting)
+    return _every_other_coset(setting, s, setting.cosets(1), SplittingKind.TYPE_I)
+
+
+def _type1_multiplier(setting: CodeSetting) -> int:
+    """The least class of 1 + r*Z_{n_r*r} outside the powers of q whose
+    square is a power of q, glued with 1 at the odd prime powers."""
     m = setting.n_r * setting.r
     q = setting.q
     qpow = set()
@@ -297,26 +304,25 @@ def construct_type1(setting: CodeSetting) -> Splitting:
             break
     if s0 is None:
         raise Internal("even quotient without an order-2 class")
-    s = _compose_multiplier(
+    return _compose_multiplier(
         setting, s0, {w: 1 for w in _odd_prime_powers(setting)}
     )
-    part = setting.cosets(1)
-    orbits = orbits_on_cosets(part, Residue(s, setting.nr))
-    pairing = pair_even_orbits(orbits)
-    if pairing is None:
-        raise Internal("Type-I multiplier produced an odd orbit")
-    return _splitting_from_pairing(setting, s, part, pairing[0], SplittingKind.TYPE_I)
 
 
 def _odd_prime_powers(setting: CodeSetting) -> list[int]:
     return [p**v for p, v in factorize(setting.n_r_prime)]
 
 
-def _splitting_from_pairing(setting, s, part, reps, kind) -> Splitting:
+def _every_other_coset(setting, s, part, kind) -> Splitting:
+    """P takes every other coset along each s-cycle, from its least coset."""
     nr = setting.nr
     p_elems = []
-    for rep in reps:
-        p_elems.extend(part.coset_of(rep))
+    for cycle in orbits_on_cosets(part, Residue(s, nr)):
+        if len(cycle) % 2:
+            label = "Type-I" if kind == SplittingKind.TYPE_I else "Type-II"
+            raise Internal(f"{label} multiplier produced an odd orbit")
+        for coset in cycle[0::2]:
+            p_elems.extend(coset)
     p_idx = IndexSet(setting, 1, tuple(p_elems))
     sp_idx = IndexSet(setting, 1, tuple((s * x) % nr for x in p_elems))
     return Splitting(setting, 1, s, p_idx, sp_idx, kind)
@@ -325,6 +331,10 @@ def _splitting_from_pairing(setting, s, part, reps, kind) -> Splitting:
 def construct_type2(setting: CodeSetting) -> Splitting:
     """Deterministic Type-II (even-like) splitting, when one exists.
 
+    P takes every other coset along each s-cycle of the q-cosets outside
+    P0.  On a Type-I setting s is the Type-I multiplier, and P is the
+    Type-I P without P0, which is a union of whole s-cycles.
+
     The set checks run once, here; a failure raises Internal.  The
     splitting carries their transcript as set_checks, so certificate()
     adds only the factor-product identity.
@@ -332,40 +342,15 @@ def construct_type2(setting: CodeSetting) -> Splitting:
     reason = _exists_reason(setting)
     if reason is None:
         raise NoSplitting("no Type-II splitting for this setting")
-    nr = setting.nr
-    p0 = set(_p0_range(setting, 1))
     if reason == "TypeI-even-quotient":
-        base = construct_type1(setting)
-        s = base.s
-        p_elems = tuple(x for x in base.p.elems if x not in p0)
-        p_idx = IndexSet(setting, 1, p_elems)
-        sp_idx = IndexSet(setting, 1, tuple((s * x) % nr for x in p_elems))
-        out = Splitting(setting, 1, s, p_idx, sp_idx, SplittingKind.TYPE_II)
+        s = _type1_multiplier(setting)
+    elif reason == "n_r-even":
+        s = _compose_multiplier(setting, 1, _even_case_components(setting))
     else:
-        if reason == "n_r-even":
-            comps = _even_case_components(setting)
-        else:
-            comps = _odd_case_components(setting)
-        s = _compose_multiplier(setting, 1, comps)
-        outside = set(setting.p_set(1)) - p0
-        part = cosets_of(outside, Residue(setting.q, nr)) if outside else None
-        if part is None:
-            out = Splitting(
-                setting,
-                1,
-                s,
-                IndexSet(setting, 1, ()),
-                IndexSet(setting, 1, ()),
-                SplittingKind.TYPE_II,
-            )
-        else:
-            orbits = orbits_on_cosets(part, Residue(s, nr))
-            pairing = pair_even_orbits(orbits)
-            if pairing is None:
-                raise Internal("Type-II multiplier produced an odd orbit")
-            out = _splitting_from_pairing(
-                setting, s, part, pairing[0], SplittingKind.TYPE_II
-            )
+        s = _compose_multiplier(setting, 1, _odd_case_components(setting))
+    outside = set(setting.p_set(1)).difference(_p0_range(setting, 1))
+    part = cosets_of(outside, Residue(setting.q, setting.nr))
+    out = _every_other_coset(setting, s, part, SplittingKind.TYPE_II)
     res = verify_splitting(out, algebraic=False)
     if not res.ok:
         raise Internal(f"constructed splitting failed check {res.first_failure}")
@@ -540,21 +525,16 @@ def max_iso_orthogonal_dim(setting: CodeSetting) -> int:
     s-cycles of q-cosets.  On a cycle of length L a compatible choice A
     is disjoint from its shift by one and fixed by the shift by two, so
     it is every other coset when L is even and empty when L is odd: a
-    cycle of cosets of size c contributes c * L // 2 or nothing.
+    cycle of cosets of size c contributes c * L / 2 or nothing.
     """
     part = setting.cosets(1)
-    size_of = {c[0]: len(c) for c in part.cosets}
     nr = setting.nr
     best = 0
     for s in multiplier_group(setting):
-        orbits = orbits_on_cosets(part, Residue(s, nr))
         total = 0
-        for orbit in orbits:
-            sizes = {size_of[rep] for rep in orbit}
-            if len(sizes) != 1:
-                raise Internal("multiplier cycle mixes coset sizes")
-            if len(orbit) % 2 == 0:
-                total += sizes.pop() * (len(orbit) // 2)
+        for cycle in orbits_on_cosets(part, Residue(s, nr)):
+            if len(cycle) % 2 == 0:
+                total += sum(map(len, cycle[0::2]))
         best = max(best, total)
     return best
 
@@ -601,35 +581,38 @@ def verify_certificate(cert: dict, algebraic="auto") -> tuple[VerifyResult, dict
     """Re-check a certificate dict; returns the verdict and a fresh transcript.
 
     Every check runs.  Raises ValueError when the certificate is not a
-    dict, its P, sP or P0 entry is not a list, or a field that must be
-    an integer (or a residue list of integers) holds a list, an object,
-    a float or a boolean; floats and booleans are refused rather than
-    truncated.
+    dict, its P, sP or P0 entry is not a list, q, n, t, s or r or a
+    residue in P, sP or P0 is anything but a JSON integer, or lambda is
+    a float or a boolean.  Floats, booleans and strings are refused
+    rather than converted; lambda is text or an integer.
     """
     if not isinstance(cert, dict):
         raise ValueError("certificate must be a JSON object")
-    for key in ("q", "n", "lambda", "t", "s", "r"):
-        if isinstance(cert.get(key), (bool, float)):
+    for key in ("q", "n", "t", "s", "r"):
+        if key in cert and type(cert[key]) is not int:
             raise ValueError(
                 f"certificate field {key!r} is not an integer: {cert[key]!r}"
             )
+    if isinstance(cert.get("lambda"), (bool, float)):
+        raise ValueError(
+            f"certificate field 'lambda' is not an integer: {cert['lambda']!r}"
+        )
     for key in ("P", "sP", "P0"):
         if key in cert and not isinstance(cert[key], list):
             raise ValueError(f"certificate entry {key!r} must be a list")
-        kinds = set(map(type, cert.get(key, ())))
-        if bool in kinds or float in kinds:
+        if not set(map(type, cert.get(key, ()))) <= {int}:
             raise ValueError(f"certificate entry {key!r} holds a non-integer")
     try:
-        setting = make_setting(int(cert["q"]), int(cert["n"]), cert["lambda"])
-        t = int(cert.get("t", 1))
-        s = int(cert["s"])
-        kind = SplittingKind(cert.get("kind", "type-ii"))
-        p_elems = tuple(map(int, cert["P"]))
-        sp_elems = tuple(map(int, cert["sP"]))
-        p0 = sorted(map(int, cert["P0"])) if "P0" in cert else None
-        r = int(cert["r"]) if "r" in cert else None
+        setting = make_setting(cert["q"], cert["n"], cert["lambda"])
     except TypeError as exc:
         raise ValueError(f"certificate field is not a number: {exc}") from exc
+    t = cert.get("t", 1)
+    s = cert["s"]
+    kind = SplittingKind(cert.get("kind", "type-ii"))
+    p_elems = tuple(cert["P"])
+    sp_elems = tuple(cert["sP"])
+    p0 = sorted(cert["P0"]) if "P0" in cert else None
+    r = cert.get("r")
     res = _verify(setting, t, s, p_elems, sp_elems, kind, algebraic)
     checks = list(res.checks)
     if p0 is not None:

@@ -37,8 +37,6 @@ def random_invariant_set(rng: random.Random, setting, t: int = 1):
     """A random union of q-cosets inside P_{n,lambda^t}."""
     from constacyclic import IndexSet
 
-    part = setting.cosets(t)
-    reps = part.reps
-    chosen = [rep for rep in reps if rng.random() < 0.5]
-    elems = tuple(x for rep in chosen for x in part.coset_of(rep))
+    chosen = [c for c in setting.cosets(t).cosets if rng.random() < 0.5]
+    elems = tuple(x for coset in chosen for x in coset)
     return IndexSet(setting, t, elems)

@@ -10,9 +10,70 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from constacyclic import Residue, orbits_on_cosets
-from constacyclic.arith import cosets_of
-from constacyclic.duadic import multiplier_group, p0_set
+from constacyclic.duadic import multiplier_group
+
+
+def coset_index(setting, elems) -> dict:
+    """Each residue of a q-closed set mapped to its sorted q-coset,
+    by multiplying by q until the walk returns."""
+    nr, q = setting.nr, setting.q
+    index = {}
+    for x in sorted(elems):
+        if x in index:
+            continue
+        orbit, y = [x], (x * q) % nr
+        while y != x:
+            orbit.append(y)
+            y = (y * q) % nr
+        coset = tuple(sorted(orbit))
+        for y in coset:
+            index[y] = coset
+    return index
+
+
+def rep_cycles(setting, s: int, index: dict) -> list:
+    """Cycles of the multiplier s on the cosets as representative walks:
+    each starts at its least unvisited representative and steps to the
+    representative of s times the current one."""
+    nr = setting.nr
+    seen = set()
+    cycles = []
+    for rep in sorted({c[0] for c in index.values()}):
+        walk = []
+        while rep not in seen:
+            seen.add(rep)
+            walk.append(rep)
+            rep = index[(s * rep) % nr][0]
+        if walk:
+            cycles.append(tuple(walk))
+    return cycles
+
+
+def pair_even_orbits(orbits):
+    """Deal each cycle alternately to two halves of representatives,
+    or None when some cycle has odd length."""
+    first, second = [], []
+    for orbit in orbits:
+        if len(orbit) % 2 != 0:
+            return None
+        first.extend(orbit[0::2])
+        second.extend(orbit[1::2])
+    return tuple(sorted(first)), tuple(sorted(second))
+
+
+def every_other_coset_reference(setting, s: int, ambient_elems):
+    """The sorted P that takes the first half of the pairing of the
+    s-cycles on the q-cosets of the ambient set, or None."""
+    index = coset_index(setting, ambient_elems)
+    pairing = pair_even_orbits(rep_cycles(setting, s, index))
+    if pairing is None:
+        return None
+    return tuple(sorted(x for rep in pairing[0] for x in index[rep]))
+
+
+def p0_filter(setting):
+    """P0 for t = 1 by filtering P_{n,lambda} for multiples of n_r'."""
+    return tuple(x for x in setting.p_set(1) if x % setting.n_r_prime == 0)
 
 
 @lru_cache(maxsize=None)
@@ -57,21 +118,15 @@ def max_iso_orthogonal_dim_exhaustive(setting) -> int:
     """Best total over multipliers s of the exhausted s-cycle
     contributions, each cycle of cosets of size c worth c times its best
     compatible popcount."""
-    part = _coset_partition(setting, setting.p_set(1))
-    size_of = {c[0]: len(c) for c in part.cosets}
+    index = coset_index(setting, setting.p_set(1))
     best = 0
     for s in multiplier_group(setting):
-        orbits = orbits_on_cosets(part, Residue(s, setting.nr))
         total = sum(
-            size_of[orbit[0]] * best_compatible_popcount(len(orbit))
-            for orbit in orbits
+            len(index[orbit[0]]) * best_compatible_popcount(len(orbit))
+            for orbit in rep_cycles(setting, s, index)
         )
         best = max(best, total)
     return best
-
-
-def _coset_partition(setting, elems):
-    return cosets_of(elems, Residue(setting.q, setting.nr))
 
 
 def _splittable_by(setting, s: int, ambient_elems) -> bool:
@@ -81,17 +136,17 @@ def _splittable_by(setting, s: int, ambient_elems) -> bool:
     within each of its cycles, so the cover condition restricts to one
     cycle at a time; every cycle is exhausted independently.
     """
-    if not ambient_elems:
-        return True
-    part = _coset_partition(setting, ambient_elems)
-    orbits = orbits_on_cosets(part, Residue(s, setting.nr))
-    return all(_cycle_has_half_cover(len(orbit)) for orbit in orbits)
+    index = coset_index(setting, ambient_elems)
+    return all(
+        _cycle_has_half_cover(len(orbit))
+        for orbit in rep_cycles(setting, s, index)
+    )
 
 
 def type2_exists_bruteforce(setting) -> bool:
     """Exhaustive search over multipliers s and q-closed sets P for a
     partition P0 | P | sP of the full index set."""
-    p0 = set(p0_set(setting, 1).elems)
+    p0 = set(p0_filter(setting))
     outside = tuple(x for x in setting.p_set(1) if x not in p0)
     return any(
         _splittable_by(setting, s, outside) for s in multiplier_group(setting)

@@ -87,7 +87,12 @@ def test_criterion_02_worked_example_len14():
     }
     ok = set(part.cosets) == expected_cosets
     orbits = orbits_on_cosets(part, Residue(29, 56))
-    ok &= set(orbits) == {(21,), (1, 29), (5, 33), (17, 25)}
+    ok &= set(orbits) == {
+        ((21, 49),),
+        ((1, 13), (29, 41)),
+        ((5, 9), (33, 37)),
+        ((17, 53), (25, 45)),
+    }
     p = (25, 29, 33, 37, 41, 45)
     sp = Splitting(
         st,

@@ -12,7 +12,6 @@ from constacyclic import (
     mult_order,
     nu2,
     orbits_on_cosets,
-    pair_even_orbits,
 )
 from constacyclic.arith import euler_phi
 from constacyclic.errors import BadFrame, NonUnit, NotClosed, NotInvariant, TooLarge
@@ -217,7 +216,6 @@ class TestCosets:
             closed_seen += 1
             part = cosets_of(amb, Residue(g, m))
             assert part.cosets == tuple(sorted({orbit_of[x] for x in amb}))
-            assert all(part.coset_of(x) == orbit_of[x] for x in amb)
         assert closed_seen > 50 and open_seen > 50
 
     def test_nonunit_generator(self):
@@ -229,15 +227,36 @@ class TestOrbits:
     def test_golden_example_orbits(self):
         part = cosets_of(_p_set(14, 4), Residue(13, 56))
         orbs = orbits_on_cosets(part, Residue(29, 56))
-        assert set(orbs) == {(21,), (1, 29), (5, 33), (17, 25)}
+        assert orbs == (
+            ((1, 13), (29, 41)),
+            ((5, 9), (33, 37)),
+            ((17, 53), (25, 45)),
+            ((21, 49),),
+        )
         part = cosets_of(_p_set(21, 3), Residue(4, 63))
         orbs = orbits_on_cosets(part, Residue(55, 63))
-        assert set(orbs) == {(7,), (1, 31), (10, 43), (13, 22)}
+        assert orbs == (
+            ((1, 4, 16), (31, 55, 61)),
+            ((7, 28, 49),),
+            ((10, 34, 40), (43, 46, 58)),
+            ((13, 19, 52), (22, 25, 37)),
+        )
+
+    def test_golden_cycles_are_swapped_by_multiplier(self):
+        part = cosets_of(
+            tuple(x for x in _p_set(14, 4) if x % 7 != 0), Residue(13, 56)
+        )
+        cycles = orbits_on_cosets(part, Residue(29, 56))
+        assert [c[0] for cycle in cycles for c in cycle[0::2]] == [1, 5, 17]
+        # multiplying the even-position cosets by s gives the odd-position ones
+        for cycle in cycles:
+            for a, b in zip(cycle[0::2], cycle[1::2]):
+                assert tuple(sorted((29 * x) % 56 for x in a)) == b
 
     def test_identity_multiplier(self):
         part = cosets_of(_p_set(14, 4), Residue(13, 56))
         orbs = orbits_on_cosets(part, Residue(1, 56))
-        assert all(len(o) == 1 for o in orbs)
+        assert orbs == tuple((c,) for c in part.cosets)
 
     def test_orbit_length_divides_multiplier_order(self):
         rng = random.Random(9)
@@ -246,32 +265,18 @@ class TestOrbits:
             units = [g for g in range(1, m) if math.gcd(g, m) == 1]
             part = cosets_of(range(m), Residue(rng.choice(units), m))
             s = Residue(rng.choice(units), m)
-            for orbit in orbits_on_cosets(part, s):
-                assert mult_order(s) % len(orbit) == 0
+            cycles = orbits_on_cosets(part, s)
+            assert sorted(c for cycle in cycles for c in cycle) == sorted(
+                part.cosets
+            )
+            for cycle in cycles:
+                assert mult_order(s) % len(cycle) == 0
+                for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                    assert {(s.value * x) % m for x in a} == set(b)
 
     def test_not_invariant(self):
         part = cosets_of((1, 5, 9, 13, 17, 21), Residue(5, 24))
-        with pytest.raises(NotInvariant):
+        with pytest.raises(
+            NotInvariant, match=r"^7 does not fix the ambient set mod 24$"
+        ):
             orbits_on_cosets(part, Residue(7, 24))
-
-
-class TestPairing:
-    def test_all_even(self):
-        assert pair_even_orbits([(1, 2), (3, 4), (5, 6)]) == (
-            (1, 3, 5),
-            (2, 4, 6),
-        )
-
-    def test_odd_orbit_blocks(self):
-        assert pair_even_orbits([(1, 2), (3,)]) is None
-
-    def test_golden_pairing_is_swapped_by_multiplier(self):
-        part = cosets_of(
-            tuple(x for x in _p_set(14, 4) if x % 7 != 0), Residue(13, 56)
-        )
-        orbs = orbits_on_cosets(part, Residue(29, 56))
-        g1, g2 = pair_even_orbits(orbs)
-        assert g1 == (1, 5, 17)
-        # multiplying first-half cosets by s lands in the second half
-        image = {part.rep_of((29 * rep) % 56) for rep in g1}
-        assert image == set(g2)

@@ -2,7 +2,9 @@
 
 Every mutation must end in one of the documented exits (0, 1 or 2) with
 no exception escaping cli.main; a float or a boolean anywhere verify
-reads a number must exit 2 rather than be truncated.
+reads a number must exit 2 rather than be truncated, and so must a
+string anywhere verify reads an integer (lambda is text, so it may be
+one).
 """
 
 import contextlib
@@ -95,4 +97,6 @@ def test_single_field_mutation_ends_in_a_documented_exit(certs, data):
     else:
         assert json.loads(out)["ok"] is (code == 0)
     if kind in ("float", "bool") and key in READ:
+        assert code == 2, (key, cert.get(key))
+    if kind == "str" and key in READ and key not in ("lambda", "kind"):
         assert code == 2, (key, cert.get(key))

@@ -133,15 +133,20 @@ class TestSplitVerify:
         assert proc.stdout.strip() == "False"
 
     def test_inexact_numbers_exit_two(self, capsys, monkeypatch):
-        """Floats and booleans are refused, not truncated by int()."""
+        """Floats, booleans and numeric strings are refused, not converted."""
         code, out, _ = run(capsys, "split", "--q", "13", "--n", "14", "--lambda", "5")
         cert = json.loads(out)
         changes = [{"P": [float(x) for x in cert["P"]], "s": cert["s"] + 0.5}]
         changes += [{key: float(cert[key])} for key in ("q", "n", "t", "s", "r")]
         changes += [{key: True} for key in ("q", "n", "lambda", "t", "s", "r")]
+        changes += [{key: str(cert[key])} for key in ("q", "n", "t", "s", "r")]
+        changes.append(
+            {"q": "13", "n": "14", "s": " 41 ", "P": [str(x) for x in cert["P"]]}
+        )
         for key in ("P", "sP", "P0"):
             changes.append({key: cert[key][:-1] + [float(cert[key][-1])]})
             changes.append({key: [True] + cert[key][1:]})
+            changes.append({key: [str(cert[key][0])] + cert[key][1:]})
         for change in changes:
             monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({**cert, **change})))
             code, out, err = run(capsys, "verify")

@@ -345,14 +345,13 @@ class TestAnnihilatorAndDual:
                 st.tower
             except TooLarge:
                 continue
-            part = st.cosets(1)
-            reps = part.reps
-            for mask in range(1, 1 << len(reps)):
+            cosets = st.cosets(1).cosets
+            for mask in range(1, 1 << len(cosets)):
                 elems = tuple(
                     x
-                    for i, rep in enumerate(reps)
+                    for i, coset in enumerate(cosets)
                     if mask >> i & 1
-                    for x in part.coset_of(rep)
+                    for x in coset
                 )
                 code = ConstaCode(IndexSet(st, 1, elems))
                 p = set(elems)

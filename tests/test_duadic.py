@@ -32,7 +32,7 @@ from constacyclic import (
     verify_splitting,
 )
 from constacyclic.arith import euler_phi
-from constacyclic.errors import NonUnit, NoSplitting, TooLarge
+from constacyclic.errors import Internal, NonUnit, NoSplitting, TooLarge
 
 import oracles
 
@@ -407,6 +407,43 @@ class TestVerifyOnce:
         assert main(argv) == 0
         capsys.readouterr()
         assert calls == [1]
+
+
+class TestEveryOtherCoset:
+    """P against a representative walk and pairing written in the oracles."""
+
+    def test_type2_p_matches_reference(self, sweep60_witnesses):
+        for w in sweep60_witnesses:
+            st = w.setting
+            p0 = set(oracles.p0_filter(st))
+            outside = [x for x in st.p_set(1) if x not in p0]
+            want = oracles.every_other_coset_reference(st, w.s, outside)
+            assert w.p.elems == want, st
+            assert set(w.sp.elems) == {(w.s * x) % st.nr for x in want}, st
+
+    def test_type1_p_matches_reference(self):
+        checked = 0
+        for st in oracles.sweep_settings(16, 60):
+            if not exists_type1(st):
+                continue
+            w = construct_type1(st)
+            want = oracles.every_other_coset_reference(st, w.s, st.p_set(1))
+            assert w.p.elems == want, st
+            checked += 1
+        assert checked == 184
+
+    def test_odd_cycle_raises_internal(self, st13):
+        from constacyclic.duadic import _every_other_coset
+
+        # the identity fixes every coset, so every cycle has length one
+        for kind, label in [
+            (SplittingKind.TYPE_I, "Type-I"),
+            (SplittingKind.TYPE_II, "Type-II"),
+        ]:
+            with pytest.raises(
+                Internal, match=f"^{label} multiplier produced an odd orbit$"
+            ):
+                _every_other_coset(st13, 1, st13.cosets(1), kind)
 
 
 class TestOddLike:
