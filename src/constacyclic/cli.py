@@ -15,7 +15,7 @@ import math
 import sys
 
 from . import codes, duadic, gf, mds
-from .arith import divisors
+from .arith import MAX_MODULUS, divisors, factorize
 from .codes import ConstaCode, IndexSet, make_setting
 from .errors import DivideByZero, Internal, NoSplitting, TooLarge
 
@@ -117,7 +117,33 @@ def _cmd_mds(args) -> int:
     return 0 if report["mds"] in (True, None) else 1
 
 
+def _check_atlas_box(max_q: int, max_n: int) -> None:
+    """Refuse a box holding a field over 2^20 or a modulus n*r over 2^31.
+
+    The atlas prints as it goes, so the whole box is checked before its
+    first line.  Within a field F_q the largest order is r = q - 1 and the
+    largest length is max_n, or max_n - 1 when the characteristic divides
+    max_n.  Only q with (q - 1) * max_n over the cap can exceed it, so the
+    downward scan stops after a few hundred q at most.
+    """
+    for q in range(gf.MAX_FIELD_SIZE + 1, max_q + 1):
+        if len(factorize(q)) == 1:
+            raise TooLarge(f"atlas box holds field size {q}, over the 2^20 cap")
+    for q in range(min(max_q, gf.MAX_FIELD_SIZE), 1, -1):
+        if (q - 1) * max_n <= MAX_MODULUS:
+            break
+        fac = factorize(q)
+        if len(fac) == 1:
+            n = max_n - 1 if max_n % fac[0][0] == 0 else max_n
+            if n * (q - 1) > MAX_MODULUS:
+                raise TooLarge(
+                    f"atlas box holds q={q}, n={n}, r={q - 1}: modulus "
+                    f"n*r = {n * (q - 1)} exceeds the 2^31 cap"
+                )
+
+
 def _cmd_atlas(args) -> int:
+    _check_atlas_box(args.max_q, args.max_n)
     for q in range(2, args.max_q + 1):
         try:
             field = gf.field_for_order(q)

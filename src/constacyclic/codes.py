@@ -442,7 +442,11 @@ def min_distance(code: ConstaCode) -> float | int:
 
     Scans one representative per scalar class (messages whose leading
     nonzero coefficient is 1), which is exhaustive because scaling a
-    codeword does not change its weight.
+    codeword does not change its weight.  Over fields with numpy tables
+    the scan is split: a table of every combination of the low rows
+    X^j g, j < a, is built once (at most ``_BLOCK`` rows), and each monic
+    combination of the rows above is compared with the whole table, so a
+    codeword costs one comparison of n cells instead of a gather per row.
     """
     k = code.dim
     if k == 0:
@@ -473,6 +477,15 @@ def min_distance(code: ConstaCode) -> float | int:
 
 
 def _min_distance_np(st: CodeSetting, g: tuple[int, ...], k: int) -> int:
+    """Split enumeration: every codeword is high + low.
+
+    low runs over the span of rows 0..a-1, tabled once, with q^a at most
+    ``_BLOCK``; its nonzero rows are the messages led below a.  For each
+    lead >= a, high runs over row lead plus the span of rows a..lead-1.
+    The span is closed under negation, so high + span = high - span and
+    the least weight there is n minus the most coordinates that any low
+    row shares with high.
+    """
     import numpy as np
 
     add_t, mul_t = st.field.np_tables()
@@ -480,23 +493,28 @@ def _min_distance_np(st: CodeSetting, g: tuple[int, ...], k: int) -> int:
     rows = np.zeros((k, n), dtype=np.int16)
     for j in range(k):
         rows[j, j : j + len(g)] = g
-    best = n + 1
-    for lead in range(k):
-        total = q**lead
-        base_row = rows[lead]
-        start = 0
-        while start < total:
-            stop = min(start + _BLOCK, total)
-            idx = np.arange(start, stop, dtype=np.int64)
-            acc = np.broadcast_to(base_row, (stop - start, n)).copy()
-            for j in range(lead):
-                digits = ((idx // (q**j)) % q).astype(np.int16)
-                term = mul_t[digits[:, None], rows[j][None, :]]
-                acc = add_t[acc, term]
-            w = int(np.count_nonzero(acc, axis=1).min())
-            if w < best:
-                best = w
-            start = stop
+
+    def extend(span, row):
+        """Every vector of span plus every multiple of row."""
+        return add_t[mul_t[:, row][:, None, :], span[None]].reshape(-1, n)
+
+    a = 0
+    while a < k - 1 and q ** (a + 1) <= _BLOCK:
+        a += 1
+    low = np.zeros((1, n), dtype=np.int16)
+    for row in rows[:a]:
+        low = extend(low, row)
+    best = int(np.count_nonzero(low[1:], axis=1).min()) if a else n + 1
+    # about _BLOCK codewords per comparison keeps peak memory bounded
+    chunk = max(1, _BLOCK // len(low))
+    count_t = np.min_scalar_type(n)
+    span = low[:1]
+    for row in rows[a:]:
+        high = add_t[span, row]
+        for start in range(0, len(high), chunk):
+            same = low[None] == high[start : start + chunk, None, :]
+            best = min(best, n - int(same.sum(axis=2, dtype=count_t).max()))
+        span = extend(span, row)
     return best
 
 

@@ -163,21 +163,25 @@ def type1_exists_bruteforce(setting) -> bool:
 
 def min_distance_bruteforce(code) -> float:
     """Weight scan over every nonzero codeword, no scalar-class tricks."""
-    st = code.setting
-    F = st.field
     if code.dim == 0:
         return float("inf")
     from constacyclic import spanning_words
 
     gens = [w.coords for w in spanning_words(code)]
-    best = st.n + 1
-    for coeffs in itertools.product(range(st.q), repeat=len(gens)):
+    return min_weight_bruteforce(code.setting.field, gens)
+
+
+def min_weight_bruteforce(F, gens) -> int:
+    """Least weight of the words sum(c_j * gens[j]) over nonzero messages c."""
+    n = len(gens[0])
+    best = n + 1
+    for coeffs in itertools.product(range(F.q), repeat=len(gens)):
         if not any(coeffs):
             continue
-        acc = [0] * st.n
+        acc = [0] * n
         for co, g in zip(coeffs, gens):
             if co:
-                for i in range(st.n):
+                for i in range(n):
                     acc[i] = F.add(acc[i], F.mul(co, g[i]))
         w = sum(1 for c in acc if c)
         if w < best:

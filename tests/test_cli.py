@@ -319,6 +319,66 @@ class TestAtlas:
         _, out2, _ = run(capsys, "atlas", "--max-q", "3", "--max-n", "6")
         assert out1 == out2
 
+    @pytest.mark.parametrize(
+        "max_q, max_n",
+        [("3", str(2**30 + 1)), (str(2**20 + 7), "30"), ("3", "4000000000")],
+    )
+    def test_box_over_the_caps_exits_two_before_printing(self, max_q, max_n):
+        """In a subprocess, so an unchecked box ends at the timeout."""
+        src = os.path.dirname(os.path.dirname(constacyclic.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "constacyclic.cli", "atlas",
+             "--max-q", max_q, "--max-n", max_n],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=5,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:")
+        assert proc.stderr.count("\n") == 1
+
+    def test_box_at_the_modulus_cap_starts_printing(self, monkeypatch):
+        """q = 3, n = 2^30 reaches n*r = 2^31 exactly, which is allowed."""
+
+        class FirstLine(io.StringIO):
+            def write(self, text):
+                super().write(text)
+                if "\n" in text:
+                    raise BrokenPipeError
+                return len(text)
+
+        sink = FirstLine()
+        monkeypatch.setattr(sys, "stdout", sink)
+        assert main(["atlas", "--max-q", "3", "--max-n", str(2**30)]) == 0
+        assert json.loads(sink.getvalue())["q"] == 2
+
+    def test_box_check_matches_every_setting(self, monkeypatch):
+        """Refused exactly when some setting of the box has n*r over the cap."""
+        from constacyclic.arith import divisors, factorize
+
+        for cap in (40, 97, 200):
+            monkeypatch.setattr(cli, "MAX_MODULUS", cap)
+            for max_q in range(1, 26):
+                for max_n in range(0, 30):
+                    worst = max(
+                        (
+                            n * r
+                            for q in range(2, max_q + 1)
+                            if len(factorize(q)) == 1
+                            for r in divisors(q - 1)
+                            for n in range(1, max_n + 1)
+                            if n % factorize(q)[0][0]
+                        ),
+                        default=0,
+                    )
+                    if worst > cap:
+                        with pytest.raises(cli.TooLarge):
+                            cli._check_atlas_box(max_q, max_n)
+                    else:
+                        cli._check_atlas_box(max_q, max_n)
+
 
 class TestUsageErrors:
     def test_bad_lambda_text(self, capsys):

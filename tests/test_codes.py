@@ -393,6 +393,74 @@ class TestDistance:
                 break
         assert checked >= 10
 
+    @pytest.mark.parametrize("block", [4, 16])
+    def test_split_enumeration_matches_bruteforce(
+        self, tower_friendly, monkeypatch, block
+    ):
+        """A small block leaves several high rows, in several chunks."""
+        import oracles
+
+        from constacyclic import codes
+
+        monkeypatch.setattr(codes, "_BLOCK", block)
+        rng = random.Random(47 + block)
+        qs = (2, 3, 4, 5, 7, 8, 9)
+        checked = dict.fromkeys(qs, 0)
+        for st in tower_friendly:
+            if st.q not in qs or checked[st.q] >= 4:
+                continue
+            code = ConstaCode(random_invariant_set(rng, st))
+            k = code.dim
+            # q^(k-1) > block puts the low table below k - 1 rows
+            if k < 3 or st.q ** (k - 1) <= block or st.q**k > 3000:
+                continue
+            assert min_distance(code) == oracles.min_distance_bruteforce(code)
+            checked[st.q] += 1
+        assert all(checked.values()), checked
+
+    @pytest.mark.parametrize("block", [4, 16])
+    def test_split_enumeration_on_random_generators(self, monkeypatch, block):
+        """Rows X^j g for a g that need not divide X^n - lambda.
+
+        Their span is not closed under shifts, so a message the scan
+        missed is not made up for by a shifted word of the same weight.
+        """
+        import oracles
+
+        from constacyclic import codes
+
+        monkeypatch.setattr(codes, "_BLOCK", block)
+        rng = random.Random(53 + block)
+        for q in (2, 3, 4, 5, 7, 8, 9):
+            ks = [k for k in range(3, 11) if q ** (k - 1) > block and q**k <= 1000]
+            for _ in range(3):
+                k = rng.choice(ks)
+                n = k + rng.randint(1, 8)
+                while math.gcd(n, q) != 1:
+                    n += 1
+                st = make_setting(q, n, 1)
+                inner = tuple(rng.randrange(q) for _ in range(n - k - 1))
+                g = (rng.randrange(1, q), *inner, rng.randrange(1, q))
+                rows = [(0,) * j + g + (0,) * (k - 1 - j) for j in range(k)]
+                want = oracles.min_weight_bruteforce(st.field, rows)
+                assert codes._min_distance_np(st, g, k) == want
+
+    @pytest.mark.parametrize(
+        "q, n, lam, check, d",
+        [
+            (13, 14, "5", (25, 29, 33, 37, 41, 45), 9),
+            (7, 20, "6", (1, 3, 7, 9, 21, 23, 27, 29), 6),
+            (3, 26, "2", (1, 3, 5, 9, 15, 19, 27, 29, 31, 35, 41, 45), 6),
+            (4, 21, "1 0", (1, 2, 3, 4, 6, 7, 8, 11, 12, 16), 8),
+            (16, 13, "0 1 0 1", (1, 7, 16, 22, 34, 37), 6),
+            (9, 14, "0 1", (1, 5, 9, 13, 25, 45), 6),
+            (5, 24, "2", (1, 5, 25, 29, 49, 53, 73, 77), 5),
+        ],
+    )
+    def test_distance_workload_codes(self, q, n, lam, check, d):
+        st = make_setting(q, n, lam)
+        assert min_distance(ConstaCode(IndexSet(st, 1, check))) == d
+
     def test_too_large(self):
         st = make_setting(17, 18, 16)
         big = ConstaCode(IndexSet(st, 1, st.p_set(1)))
