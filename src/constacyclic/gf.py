@@ -12,9 +12,14 @@ A FieldTower places F_q inside the minimal extension F_{q^d} containing
 a primitive nr-th root of unity theta with theta**n equal to the
 embedded constacyclic unit; theta is the candidate with the
 lexicographically least coordinate vector, so towers are reproducible
-too.  poly_from_root_set expands prod(X - theta**i) in the extension at
-about |S|**2 / 2 extension multiplications, so callers that need a
-complementary pair expand the smaller set and divide (codes.ConstaCode).
+too.  poly_from_root_set multiplies, over F_q, the minimal polynomials
+of the q-cosets of its root set.  Each tower expands a coset's minimal
+polynomial prod(X - theta**x) in the extension once, at about |C|**2 / 2
+extension multiplications, and caches it, so over a tower's life the
+extension work is the sum of |C|**2 / 2 over the cosets ever asked for;
+each call then pays only the F_q products.  Callers that need a
+complementary pair still expand the smaller set and divide
+(codes.ConstaCode).
 
 Scalar arithmetic works on labels directly.  Fields of order at most
 1024 also offer numpy (add, mul) tables: mul is one gather from the
@@ -92,23 +97,16 @@ def _irreducibles(p: int, max_deg: int) -> tuple[tuple[int, ...], ...]:
     return tuple(found)
 
 
-def _is_irreducible(cand: tuple[int, ...], p: int) -> bool:
-    d = len(cand) - 1
-    if d == 1:
-        return True
-    if cand[0] == 0:
-        return False
-    for f in _irreducibles(p, d // 2):
-        if not _pf_divmod(list(cand), list(f), p)[1]:
-            return False
-    return True
-
-
 def _least_irreducible(p: int, m: int) -> tuple[int, ...]:
-    for cs in _iterproduct(range(p), repeat=m):
-        cand = cs + (1,)
-        if _is_irreducible(cand, p):
-            return cand
+    # make_field asks only for m >= 2, where X divides every candidate
+    # with constant term 0; starting that term at 1 skips those p**(m-1)
+    # candidates and keeps the lexicographic order, so the modulus found
+    # is unchanged
+    factors = _irreducibles(p, m // 2)
+    for cs in _iterproduct(range(1, p), *[range(p)] * (m - 1)):
+        cand = list(cs) + [1]
+        if all(_pf_divmod(cand, list(f), p)[1] for f in factors):
+            return tuple(cand)
     raise Internal(f"no irreducible of degree {m} over F_{p}")
 
 
@@ -532,6 +530,7 @@ class FieldTower:
             pows.append(ext.mul(pows[-1], theta))
         self.theta_pows = tuple(pows)
         self._project_map: dict[int, int] | None = None
+        self._min_polys: dict[int, Poly] = {}
 
     def embed(self, label: int) -> int:
         """Image of a base-field label in the extension."""
@@ -548,6 +547,39 @@ class FieldTower:
                 img: a for a, img in enumerate(self._embed_table)
             }
         return self._project_map.get(label)
+
+    def _min_poly(self, coset) -> Poly:
+        """Minimal polynomial over F_q of theta**x for x in a q-coset.
+
+        coset lists the q-coset as poly_from_root_set walks it, from its
+        least residue mod nr; that residue keys the tower's cache.  The
+        first call expands prod(X - theta**x) over the coset in the
+        extension, at about |C|**2 / 2 multiplications, and projects the
+        coefficients to F_q; later calls return the cached polynomial.
+        """
+        rep = coset[0]
+        f = self._min_polys.get(rep)
+        if f is None:
+            ext = self.ext
+            prod = [1]
+            for x in coset:
+                mr = ext.neg(self.theta_pows[x])
+                nxt = [0] * (len(prod) + 1)
+                nxt[0] = ext.mul(mr, prod[0])
+                for j in range(1, len(prod)):
+                    nxt[j] = ext.add(prod[j - 1], ext.mul(mr, prod[j]))
+                nxt[len(prod)] = prod[-1]
+                prod = nxt
+            coeffs = []
+            for c in prod:
+                down = self.project(c)
+                if down is None:
+                    raise NotInvariant(
+                        "coefficients do not descend to the base field"
+                    )
+                coeffs.append(down)
+            f = self._min_polys[rep] = Poly(self.base, tuple(coeffs))
+        return f
 
     def __repr__(self) -> str:
         return f"FieldTower({self.base!r} in {self.ext!r}, d={self.d})"
@@ -636,30 +668,29 @@ def build_tower(setting) -> FieldTower:
 
 
 def poly_from_root_set(tower: FieldTower, root_exponents) -> Poly:
-    """Expand prod(X - theta**i) over the exponent set and descend to F_q.
+    """prod(X - theta**i) over the exponent set, as a polynomial over F_q.
 
     The exponent set must be closed under multiplication by q mod nr;
-    exactly then do the coefficients land in the embedded base field.
+    exactly then it is a union of q-cosets and the product descends to
+    the base field.  Each coset is walked once, from its least residue,
+    and the result is the F_q product of the tower's cached minimal
+    polynomials (FieldTower._min_poly) in increasing order of that residue.
     """
     elems = getattr(root_exponents, "elems", root_exponents)
-    S = sorted({x % tower.nr for x in elems})
-    q = tower.base.q
-    if {(q * x) % tower.nr for x in S} != set(S):
+    nr, q = tower.nr, tower.base.q
+    S = sorted({x % nr for x in elems})
+    left = set(S)
+    if {(q * x) % nr for x in S} != left:
         raise NotInvariant("root exponent set is not closed under the field size")
-    ext = tower.ext
-    prod = [1]
-    for i in S:
-        mr = ext.neg(tower.theta_pows[i])
-        nxt = [0] * (len(prod) + 1)
-        nxt[0] = ext.mul(mr, prod[0])
-        for j in range(1, len(prod)):
-            nxt[j] = ext.add(prod[j - 1], ext.mul(mr, prod[j]))
-        nxt[len(prod)] = prod[-1]
-        prod = nxt
-    coeffs = []
-    for c in prod:
-        down = tower.project(c)
-        if down is None:
-            raise NotInvariant("coefficients do not descend to the base field")
-        coeffs.append(down)
-    return Poly(tower.base, tuple(coeffs))
+    prod = poly_one(tower.base)
+    for rep in S:
+        if rep not in left:
+            continue
+        coset = [rep]
+        y = (q * rep) % nr
+        while y != rep:
+            coset.append(y)
+            y = (q * y) % nr
+        left.difference_update(coset)
+        prod = prod * tower._min_poly(coset)
+    return prod

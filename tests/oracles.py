@@ -289,3 +289,55 @@ def odd_case_components_scan(q: int, m: int):
             return None
         out[w] = x
     return out
+
+
+def poly_from_root_set_reference(tower, root_exponents):
+    """prod(X - theta**i) over the whole exponent set, expanded root by
+    root in the extension and projected to F_q at the end, with no
+    per-coset structure and no cache; None when a coefficient does not
+    descend."""
+    from constacyclic import Poly
+
+    ext, nr = tower.ext, tower.nr
+    elems = getattr(root_exponents, "elems", root_exponents)
+    prod = [1]
+    for i in sorted({x % nr for x in elems}):
+        mr = ext.neg(tower.theta_pows[i])
+        nxt = [0] * (len(prod) + 1)
+        nxt[0] = ext.mul(mr, prod[0])
+        for j in range(1, len(prod)):
+            nxt[j] = ext.add(prod[j - 1], ext.mul(mr, prod[j]))
+        nxt[len(prod)] = prod[-1]
+        prod = nxt
+    coeffs = [tower.project(c) for c in prod]
+    if None in coeffs:
+        return None
+    return Poly(tower.base, tuple(coeffs))
+
+
+def _int_poly_rem(a, b, p):
+    """Remainder of a by the monic b over F_p, coefficients low-to-high."""
+    a = list(a)
+    db = len(b) - 1
+    for i in range(len(a) - 1, db - 1, -1):
+        c = a[i] % p
+        if c:
+            for j, bj in enumerate(b):
+                a[i - db + j] = (a[i - db + j] - c * bj) % p
+    return [c % p for c in a[:db]]
+
+
+def least_irreducible_reference(p: int, m: int) -> tuple[int, ...]:
+    """First monic degree-m polynomial over F_p, walking every candidate
+    low-to-high (constant term 0 included), with no monic factor of
+    degree 1..m//2, found by dividing by each one."""
+    divisors = [
+        cs + (1,)
+        for d in range(1, m // 2 + 1)
+        for cs in itertools.product(range(p), repeat=d)
+    ]
+    for cs in itertools.product(range(p), repeat=m):
+        cand = cs + (1,)
+        if all(any(_int_poly_rem(cand, f, p)) for f in divisors):
+            return cand
+    raise AssertionError(f"no irreducible of degree {m} over F_{p}")

@@ -4,7 +4,8 @@ Every mutation must end in one of the documented exits (0, 1 or 2) with
 no exception escaping cli.main; a float or a boolean anywhere verify
 reads a number must exit 2 rather than be truncated, and so must a
 string anywhere verify reads an integer (lambda is text, so it may be
-one).
+one).  A rejected certificate must fail a set check: the factor-product
+identity follows from the set checks, so it never fails alone.
 """
 
 import contextlib
@@ -95,7 +96,14 @@ def test_single_field_mutation_ends_in_a_documented_exit(certs, data):
     if code == 2:
         assert out == "" and err.startswith("error:")
     else:
-        assert json.loads(out)["ok"] is (code == 0)
+        report = json.loads(out)
+        assert report["ok"] is (code == 0)
+        failed = [
+            c["name"] for c in report["checks"]
+            if not c["pass"] and not c.get("skipped")
+        ]
+        if code == 1:
+            assert failed and "factor-product-identity" not in failed, failed
     if kind in ("float", "bool") and key in READ:
         assert code == 2, (key, cert.get(key))
     if kind == "str" and key in READ and key not in ("lambda", "kind"):

@@ -6,10 +6,13 @@ import pytest
 
 from constacyclic import (
     Poly,
+    construct_type2,
     element_from_text,
     element_to_text,
+    gf,
     make_field,
     make_setting,
+    p0_set,
     poly_from_root_set,
     poly_from_text,
     poly_to_text,
@@ -17,6 +20,8 @@ from constacyclic import (
 from constacyclic.arith import _mult_order
 from constacyclic.errors import DivideByZero, NotInvariant, NotPrime, TooLarge
 from constacyclic.gf import poly_one, poly_x_pow_minus
+
+from oracles import least_irreducible_reference, poly_from_root_set_reference
 
 
 def all_monic(field, degree):
@@ -59,6 +64,34 @@ class TestMakeField:
         for p, m in [(2, 4), (3, 3), (5, 2), (7, 2), (2, 6)]:
             F = make_field(p, m)
             assert is_irreducible(Poly(make_field(p, 1), F.modulus))
+
+    def test_moduli_match_full_candidate_walk(self):
+        """Every p**m <= 2**12 with m >= 2, against a walk that also tries
+        the candidates with constant term 0."""
+        checked = 0
+        for p in range(2, 65):
+            if any(p % d == 0 for d in range(2, p)):
+                continue
+            m = 2
+            while p**m <= 1 << 12:
+                assert make_field(p, m).modulus == least_irreducible_reference(p, m), (p, m)
+                checked += 1
+                m += 1
+        assert checked == 40
+
+    def test_large_moduli_pinned(self):
+        # recorded before the search skipped constant term 0; the sweep
+        # and big-field benchmark digests depend on these moduli
+        pinned = {
+            (2, 16): (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 1, 1),
+            (2, 18): (1,) + (0,) * 14 + (1, 0, 0, 1),
+            (2, 20): (1,) + (0,) * 16 + (1, 0, 0, 1),
+            (3, 12): (1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 1),
+            (7, 6): (1, 0, 0, 0, 1, 0, 1),
+            (17, 4): (1, 0, 0, 3, 1),
+        }
+        for (p, m), modulus in pinned.items():
+            assert make_field(p, m).modulus == modulus, (p, m)
 
     def test_rejects_bad_input(self):
         with pytest.raises(NotPrime):
@@ -258,6 +291,36 @@ class TestPolyFromRootSet:
             g = poly_from_root_set(st.tower, s.complement())
             assert f * g == st.binomial(1)
             assert f.degree == len(s.elems)
+
+    def test_matches_whole_set_reference(self, tower_friendly):
+        """The product of cached coset polynomials equals the whole-set
+        expansion for a random q-closed set and its complement, every
+        coset and the whole ambient set, at t = 1 and one other unit t."""
+        from conftest import random_invariant_set
+
+        rng = random.Random(29)
+        for st in tower_friendly:
+            tw = st.tower
+            units = [t for t in range(2, st.nr) if math.gcd(t, st.nr) == 1]
+            for t in [1] + rng.sample(units, min(1, len(units))):
+                s = random_invariant_set(rng, st, t)
+                cases = [s, s.complement(), st.p_set(t), *st.cosets(t).cosets]
+                for elems in cases:
+                    expected = poly_from_root_set_reference(tw, elems)
+                    assert poly_from_root_set(tw, elems) == expected, (st, t, elems)
+
+    def test_cache_filled_from_sp_first(self, monkeypatch):
+        """A fresh tower asked for sP before P gives the reference polynomials."""
+        monkeypatch.setattr(gf, "_TOWER_CACHE", {})
+        for args in [(13, 14, 5), (4, 21, 2), (3, 13, 1), (9, 20, 2)]:
+            st = make_setting(*args)
+            tw = gf.build_tower(st)
+            sp = construct_type2(st)
+            parts = [sp.sp, sp.p, p0_set(st, sp.t)]
+            polys = [poly_from_root_set(tw, part) for part in parts]
+            for part, f in zip(parts, polys):
+                assert f == poly_from_root_set_reference(tw, part), (args, part)
+            assert polys[0] * polys[1] * polys[2] == st.binomial(sp.t)
 
     def test_coset_polys_irreducible(self):
         for args in [(5, 6, 2), (13, 14, 5), (4, 21, 2), (2, 7, 1), (3, 10, 2)]:
