@@ -31,7 +31,29 @@ def _code_from_args(args) -> ConstaCode:
 
 
 def _emit(payload) -> None:
-    print(json.dumps(payload, indent=2))
+    print(_dumps(payload, ""))
+
+
+def _dumps(value, pad0: str) -> str:
+    """json.dumps(value, indent=2) at indent pad0, byte for byte.
+
+    The pure-Python encoder that indent selects is slow on the long
+    residue lists of a certificate, so a nonempty list of plain ints is
+    formatted directly and a dict with str keys is written key by key.
+    Everything else goes through json.dumps and is re-indented, which is
+    exact because JSON text holds no raw newline inside a string.
+    """
+    pad = pad0 + "  "
+    if type(value) is list and set(map(type, value)) == {int}:
+        # one %-format pass writes ints faster than str() on each
+        body = (",\n" + pad).join(["%d"] * len(value)) % tuple(value)
+        return "[\n" + pad + body + "\n" + pad0 + "]"
+    if type(value) is dict and set(map(type, value)) == {str}:
+        body = (",\n" + pad).join(
+            json.dumps(k) + ": " + _dumps(v, pad) for k, v in value.items()
+        )
+        return "{\n" + pad + body + "\n" + pad0 + "}"
+    return json.dumps(value, indent=2).replace("\n", "\n" + pad0)
 
 
 def _cmd_exists(args) -> int:

@@ -13,8 +13,10 @@ X^n - lambda^t by it over F_q.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import repeat
 
 from . import gf
 from .arith import MAX_MODULUS, Residue, cosets_of, factorize
@@ -151,7 +153,12 @@ class IndexSet:
     """A q-closed subset of P_{n,lambda^t}, the check-set currency.
 
     Elements are sorted residues mod nr, all congruent to t mod r and
-    closed under multiplication by q.
+    closed under multiplication by q.  Input that is already strictly
+    ascending inside [0, nr) is kept without sorting it again; the class
+    and closure checks run on every input.  The closure check sorts the
+    image q*X instead of labelling every index of P_{n,lambda^t}: a check
+    set of a few cosets may live in an algebra with n near the 2^31
+    modulus cap, where a label per index would cost gigabytes.
     """
 
     setting: CodeSetting
@@ -163,17 +170,24 @@ class IndexSet:
         nr, q, r = st.nr, st.q, st.r
         t = st.unit_check(self.t)
         object.__setattr__(self, "t", t)
-        members = {x % nr for x in self.elems}
-        elems = tuple(sorted(members))
+        elems = tuple(self.elems)
+        if not (
+            elems
+            and 0 <= elems[0]
+            and elems[-1] < nr
+            and all(map(operator.lt, elems, elems[1:]))
+        ):
+            elems = tuple(sorted({x % nr for x in elems}))
         object.__setattr__(self, "elems", elems)
         tr = t % r
-        if not {x % r for x in members} <= {tr}:
-            x = min(x for x in members if x % r != tr)
+        if not set(map(operator.mod, elems, repeat(r))) <= {tr}:
+            x = next(x for x in elems if x % r != tr)
             raise ValueError(
                 f"residue {x} lies outside P for exponent {t} (mod {nr})"
             )
-        # q is a unit mod nr, so the image is all of the set once inside it
-        if not members.issuperset([(q * x) % nr for x in elems]):
+        # q is a unit mod nr, so q*X lies in X exactly when it is X; on
+        # ascending X the image is a few ascending runs, cheap to sort
+        if sorted([q * x % nr for x in elems]) != list(elems):
             raise NotInvariant("set is not closed under multiplication by q")
 
     def ambient(self) -> tuple[int, ...]:

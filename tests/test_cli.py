@@ -398,3 +398,113 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+class TestWitnessCap:
+    # The child caps its own address space, so a length that is not
+    # refused fails on memory instead of filling the machine.
+    CHILD = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from constacyclic.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+
+    @pytest.mark.parametrize(
+        "argv,stdin",
+        [
+            (["exists", "--q", "2", "--n", "2147483647", "--lambda", "1"], ""),
+            (["split", "--q", "2", "--n", "2147483647", "--lambda", "1"], ""),
+            (
+                ["verify"],
+                '{"q": 3, "n": 1073741824, "lambda": 2, "s": 1, "P": [0], "sP": []}',
+            ),
+        ],
+        ids=["exists", "split", "verify"],
+    )
+    def test_over_the_cap_exits_two_promptly(self, argv, stdin):
+        src = os.path.dirname(os.path.dirname(constacyclic.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.CHILD, *argv],
+            input=stdin,
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=5,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:")
+
+
+def _random_json(rng, depth=0):
+    """A JSON-ready value: scalars, strings that need escaping, int lists,
+    and nested lists and dicts, some with keys that are not strings."""
+
+    def text():
+        alphabet = 'ab "\\/\n\t\x00\x1f\x7fé€𝄞'
+        return "".join(rng.choice(alphabet) for _ in range(rng.randrange(6)))
+
+    kind = rng.randrange(8 if depth < 4 else 4)
+    if kind == 0:
+        return rng.choice([None, True, False, 0.0, -2.5, 1e300, 1.5e-7])
+    if kind == 1:
+        return rng.choice([0, -1, 7, -(2**70), 2**64 + 3, rng.randint(-9**9, 9**9)])
+    if kind == 2:
+        return text()
+    if kind == 3:
+        return [rng.randint(-10**12, 10**12) for _ in range(rng.randrange(5))]
+    if kind == 4:
+        return [True, 1]
+    if kind == 5:
+        return [_random_json(rng, depth + 1) for _ in range(rng.randrange(4))]
+    if kind == 6:
+        return {text(): _random_json(rng, depth + 1) for _ in range(rng.randrange(4))}
+    return {rng.choice([1, "1", 2.5, None, True]): _random_json(rng, depth + 1)}
+
+
+class TestEmit:
+    """_emit prints exactly what json.dumps(payload, indent=2) prints."""
+
+    def test_random_payloads(self, capsys):
+        import random
+
+        rng = random.Random(8)
+        for _ in range(600):
+            payload = _random_json(rng)
+            cli._emit(payload)
+            assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+        cli._emit({"P": [True, 1], "sP": [], "x": [[1, 2], []]})
+        out = capsys.readouterr().out
+        assert out == json.dumps({"P": [True, 1], "sP": [], "x": [[1, 2], []]},
+                                 indent=2) + "\n"
+        assert '"P": [\n    true,\n    1\n  ]' in out
+
+    def test_every_subcommand_payload(self, capsys, monkeypatch):
+        setting = ["--q", "13", "--n", "14", "--lambda", "5"]
+        _, cert, _ = run(capsys, "split", *setting)
+        monkeypatch.setattr("sys.stdin", io.StringIO(cert))
+        runs = [
+            ("exists", *setting),
+            ("exists", "--q", "2", "--n", "5", "--lambda", "1"),
+            ("split", "--q", "4", "--n", "21", "--lambda", "0 1"),
+            ("verify",),
+            ("code", *setting, "--P", "25,29,33,37,41,45", "--distance"),
+            ("dual", *setting, "--P", "25,29,33,37,41,45"),
+            ("iso", *setting, "--P", "25,29,33,37,41,45", "--iso-t", "27"),
+            ("mds", "--q", "13"),
+            ("mds", "--q", "17"),
+        ]
+        for argv in runs:
+            code, out, _ = run(capsys, *argv)
+            assert code in (0, 1), argv
+            assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
+
+    @pytest.mark.parametrize(
+        "q,n,lam", [(13, 500111, 5), (3, 200002, 2), (5, 200002, 4)]
+    )
+    def test_large_certificates(self, q, n, lam):
+        from constacyclic import certificate
+
+        cert = certificate(exists_type2(make_setting(q, n, lam)).witness)
+        assert cli._dumps(cert, "") == json.dumps(cert, indent=2)

@@ -315,7 +315,17 @@ def _mutations(w):
     if rest:
         out.append((t, s, p + (rest[0],), sp, kind))
     if st.r > 1:
-        out.append((t, s, p + ((t + 1) % nr,), sp, kind))
+        foreign = (t + 1) % nr
+        out.append((t, s, p + (foreign,), sp, kind))
+        out.append((t, s, p, sp + (foreign,), kind))
+        # a whole q-coset of another class in P, with its s-image in sP
+        coset, y = [foreign], st.q * foreign % nr
+        while y != foreign:
+            coset.append(y)
+            y = st.q * y % nr
+        out.append(
+            (t, s, p + tuple(coset), sp + tuple(s * x % nr for x in coset), kind)
+        )
     if nr > 1:
         out.append((0, s, p, sp, kind))
     return out
@@ -443,7 +453,99 @@ class TestEveryOtherCoset:
             with pytest.raises(
                 Internal, match=f"^{label} multiplier produced an odd orbit$"
             ):
-                _every_other_coset(st13, 1, st13.cosets(1), kind)
+                _every_other_coset(st13, 1, kind)
+
+    def test_cycle_closing_on_an_sp_coset_raises_internal(self, st13):
+        from constacyclic.duadic import _every_other_coset
+
+        # 30 is not a unit mod 56: its walk reaches an sP coset and then
+        # lands on a labelled sP coset instead of its starting P coset
+        with pytest.raises(
+            Internal, match="^Type-II multiplier produced an odd orbit$"
+        ):
+            _every_other_coset(st13, 30, SplittingKind.TYPE_II)
+
+
+# One Type-II setting per existence reason with n in 10^3..10^4.
+LARGER_N = [
+    pytest.param(4, 1001, "0 1", "odd-square", id="odd-square-q4-n1001"),
+    pytest.param(5, 1002, 2, "n_r-even", id="n_r-even-q5-n1002"),
+    pytest.param(7, 1000, 3, "TypeI-even-quotient", id="type1-q7-n1000"),
+]
+
+
+class TestLargerN:
+    """The index-label walk and set checks against the oracles at n >= 1000."""
+
+    @pytest.mark.parametrize("q,n,lam,reason", LARGER_N)
+    def test_p_matches_reference(self, q, n, lam, reason):
+        st = make_setting(q, n, lam)
+        v = exists_type2(st)
+        assert v.reason == reason
+        w = v.witness
+        p0 = set(oracles.p0_filter(st))
+        outside = [x for x in st.p_set(1) if x not in p0]
+        want = oracles.every_other_coset_reference(st, w.s, outside)
+        assert w.p.elems == want
+        assert set(w.sp.elems) == {(w.s * x) % st.nr for x in want}
+        if reason == "TypeI-even-quotient":
+            w1 = construct_type1(st)
+            assert w1.p.elems == oracles.every_other_coset_reference(
+                st, w1.s, st.p_set(1)
+            )
+
+    @pytest.mark.parametrize("q,n,lam,reason", LARGER_N)
+    def test_set_checks_match_reference(self, q, n, lam, reason):
+        from constacyclic.duadic import _verify
+
+        w = exists_type2(make_setting(q, n, lam)).witness
+        for t, s, p, sp, kind in _mutations(w):
+            want = oracles.set_check_reference(w.setting, t, s, p, sp, kind)
+            res = _verify(w.setting, t, s, p, sp, kind, algebraic=False)
+            assert [(c.name, c.passed) for c in res.checks[:-1]] == want, (
+                t, s, kind, len(p), len(sp)
+            )
+
+
+class TestWitnessCap:
+    def test_cap_is_inclusive(self, monkeypatch, st13):
+        from constacyclic import duadic
+
+        st1 = make_setting(3, 20, 2)
+        monkeypatch.setattr(duadic, "MAX_WITNESS_LENGTH", 14)
+        w = construct_type2(st13)
+        cert = certificate(w)
+        assert verify_certificate(cert)[0].ok
+        with pytest.raises(TooLarge):
+            construct_type1(st1)
+        monkeypatch.setattr(duadic, "MAX_WITNESS_LENGTH", 20)
+        assert construct_type1(st1).kind == SplittingKind.TYPE_I
+        monkeypatch.setattr(duadic, "MAX_WITNESS_LENGTH", 13)
+        with pytest.raises(TooLarge):
+            construct_type2(st13)
+        with pytest.raises(TooLarge):
+            exists_type2(st13)
+        with pytest.raises(TooLarge):
+            verify_certificate(cert)
+        with pytest.raises(TooLarge):
+            verify_splitting(w)
+        # types are checked first; the verdict alone needs no witness
+        with pytest.raises(ValueError, match="not an integer"):
+            verify_certificate({**cert, "s": 1.5})
+        assert exists_type2(st13, with_witness=False).exists
+
+    def test_cli_refuses_over_the_cap(self, monkeypatch, capsys):
+        from constacyclic import duadic
+        from constacyclic.cli import main
+
+        argv = ["--q", "13", "--n", "14", "--lambda", "5"]
+        monkeypatch.setattr(duadic, "MAX_WITNESS_LENGTH", 13)
+        for cmd in ("exists", "split"):
+            assert main([cmd, *argv]) == 2
+            out = capsys.readouterr()
+            assert out.out == "" and out.err.startswith("error:")
+        assert main(["atlas", "--max-q", "13", "--max-n", "20"]) == 0
+        assert capsys.readouterr().out.count("\n") > 0
 
 
 class TestOddLike:
