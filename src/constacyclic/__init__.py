@@ -5,37 +5,20 @@ multiplier splittings of constacyclic index sets, the codes they
 define, their isometries and duals, and the length-(q+1) MDS family.
 """
 
-from .arith import (
-    CosetPartition,
-    CrtFrame,
-    Residue,
-    cosets_of,
-    crt_compose,
-    crt_decompose,
-    mult_order,
-    nu2,
-    orbits_on_cosets,
-)
+from .arith import CosetPartition, cosets_of, nu2, orbits_on_cosets
 from .codes import (
     CodeSetting,
-    Codeword,
     ConstaCode,
     IndexSet,
     IsometryDesc,
     annihilator,
     apply_isometry,
     code_report,
-    contains,
     distance_lower_bound,
     dual,
-    hamming_weight,
-    inner_product,
     isometry,
     make_setting,
     min_distance,
-    ring_mul,
-    spanning_words,
-    word_from_poly,
 )
 from .duadic import (
     ExistenceVerdict,
@@ -68,17 +51,13 @@ from .gf import (
     field_for_order,
     make_field,
     poly_from_root_set,
-    poly_from_text,
     poly_to_text,
 )
 from .mds import (
     GrsPlan,
     default_lambda,
-    grs_code_pair,
-    grs_oracle_check,
     grs_plan,
     grs_splitting,
-    is_mds,
     mds_report,
 )
 

@@ -1,13 +1,13 @@
-"""Exact arithmetic on residue rings Z_m.
+"""Exact arithmetic on residue rings Z_m, on plain ints.
 
-Units and multiplicative orders, CRT decomposition along prime-power
-factors, 2-adic valuation, and the coset/orbit bookkeeping behind
-multiplier actions on residue sets.
+Factorization, Euler's phi, divisors, multiplicative orders, 2-adic
+valuation, and the coset/orbit bookkeeping behind multiplier actions on
+residue sets.
 
-Everything here is immutable after construction and every operation is
-a pure function, so values can be shared freely across threads.  Moduli
-are capped at 2**31: desk-scale inputs stay far below that, and larger
-requests fail loudly instead of degrading.
+Every operation is a pure function of its int arguments, so results can
+be shared freely across threads.  Moduli are capped at 2**31;
+CodeSetting enforces the cap before n is factored, so larger requests
+fail loudly instead of degrading.
 """
 
 from __future__ import annotations
@@ -15,18 +15,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .errors import BadFrame, NonUnit, NotClosed, NotInvariant, TooLarge
+from .errors import NonUnit, NotClosed, NotInvariant
 
 MAX_MODULUS = 1 << 31
-
-
-def _check_modulus(modulus: int) -> None:
-    if modulus < 1:
-        raise BadFrame(f"modulus must be positive, got {modulus}")
-    if modulus > MAX_MODULUS:
-        raise TooLarge(f"modulus {modulus} exceeds the 2^31 cap")
 
 
 @lru_cache(maxsize=None)
@@ -70,66 +63,8 @@ def nu2(t: int) -> int:
     return (t & -t).bit_length() - 1
 
 
-@dataclass(frozen=True)
-class Residue:
-    """An element of Z_m, stored reduced to the range [0, m)."""
-
-    value: int
-    modulus: int
-
-    def __post_init__(self):
-        _check_modulus(self.modulus)
-        object.__setattr__(self, "value", self.value % self.modulus)
-
-    def _lift(self, other) -> int:
-        if isinstance(other, Residue):
-            if other.modulus != self.modulus:
-                raise BadFrame(
-                    f"mixed moduli {self.modulus} and {other.modulus}"
-                )
-            return other.value
-        if isinstance(other, int):
-            return other
-        raise TypeError(f"cannot combine Residue with {type(other).__name__}")
-
-    def __add__(self, other) -> "Residue":
-        return Residue(self.value + self._lift(other), self.modulus)
-
-    def __sub__(self, other) -> "Residue":
-        return Residue(self.value - self._lift(other), self.modulus)
-
-    def __mul__(self, other) -> "Residue":
-        return Residue(self.value * self._lift(other), self.modulus)
-
-    def __neg__(self) -> "Residue":
-        return Residue(-self.value, self.modulus)
-
-    def __pow__(self, e: int) -> "Residue":
-        if e < 0:
-            return pow(self.inverse(), -e)
-        return Residue(pow(self.value, e, self.modulus), self.modulus)
-
-    def __int__(self) -> int:
-        return self.value
-
-    @property
-    def is_unit(self) -> bool:
-        return math.gcd(self.value, self.modulus) == 1
-
-    def inverse(self) -> "Residue":
-        if not self.is_unit:
-            raise NonUnit(f"{self.value} is not a unit mod {self.modulus}")
-        return Residue(pow(self.value, -1, self.modulus), self.modulus)
-
-
-def mult_order(t: Residue) -> int:
-    """Least k >= 1 with t**k = 1 in Z_m^*."""
-    if not t.is_unit:
-        raise NonUnit(f"{t.value} is not a unit mod {t.modulus}")
-    return _mult_order(t.value, t.modulus)
-
-
 def _mult_order(a: int, m: int) -> int:
+    """Least k >= 1 with a**k = 1 mod m; raises NonUnit for a non-unit."""
     if m == 1:
         return 1
     a %= m
@@ -140,67 +75,6 @@ def _mult_order(a: int, m: int) -> int:
         while k % p == 0 and pow(a, k // p, m) == 1:
             k //= p
     return k
-
-
-@dataclass(frozen=True)
-class CrtFrame:
-    """Z_modulus split into pairwise-coprime prime-power factors."""
-
-    modulus: int
-    factors: tuple[int, ...]
-
-    def __post_init__(self):
-        _check_modulus(self.modulus)
-        prod = 1
-        primes = []
-        for w in self.factors:
-            fw = factorize(w) if w >= 1 else ()
-            if w < 2 or len(fw) != 1:
-                raise BadFrame(f"factor {w} is not a prime power")
-            primes.append(fw[0][0])
-            prod *= w
-        if prod != self.modulus:
-            raise BadFrame(
-                f"factors multiply to {prod}, expected {self.modulus}"
-            )
-        if len(set(primes)) != len(primes):
-            raise BadFrame("factors are not pairwise coprime")
-
-    @classmethod
-    def from_modulus(cls, modulus: int) -> "CrtFrame":
-        _check_modulus(modulus)
-        return cls(modulus, tuple(p**e for p, e in factorize(modulus)))
-
-    def prime_of(self, w: int) -> int:
-        return factorize(w)[0][0]
-
-
-def crt_decompose(x: Residue, frame: CrtFrame) -> tuple[Residue, ...]:
-    """Reduce x along every prime-power factor of the frame."""
-    if x.modulus != frame.modulus:
-        raise BadFrame(
-            f"residue modulus {x.modulus} does not match frame {frame.modulus}"
-        )
-    return tuple(Residue(x.value, w) for w in frame.factors)
-
-
-def crt_compose(parts: Sequence, frame: CrtFrame) -> Residue:
-    """Rebuild the residue mod frame.modulus from its prime-power parts."""
-    if len(parts) != len(frame.factors):
-        raise BadFrame(
-            f"expected {len(frame.factors)} parts, got {len(parts)}"
-        )
-    total = 0
-    for part, w in zip(parts, frame.factors):
-        if isinstance(part, Residue):
-            if part.modulus != w:
-                raise BadFrame(f"part modulus {part.modulus}, expected {w}")
-            a = part.value
-        else:
-            a = int(part) % w
-        mi = frame.modulus // w
-        total += a * mi * pow(mi, -1, w)
-    return Residue(total, frame.modulus)
 
 
 @dataclass(frozen=True)
@@ -222,17 +96,16 @@ class CosetPartition:
         return tuple(c[0] for c in self.cosets)
 
 
-def cosets_of(ambient: Iterable[int], generator: Residue) -> CosetPartition:
-    """Partition a closed residue set into orbits of the generator.
+def cosets_of(ambient: Iterable[int], g: int, m: int) -> CosetPartition:
+    """Partition a closed set of residues mod m into orbits of the unit g.
 
     Each walk removes its orbit from the unvisited set.  Multiplication
     by a unit permutes Z_m, so a walk that stops anywhere but at its
     start has stepped outside the ambient set.
     """
-    m = generator.modulus
-    if not generator.is_unit:
-        raise NonUnit(f"{generator.value} is not a unit mod {m}")
-    g = generator.value
+    g %= m
+    if math.gcd(g, m) != 1:
+        raise NonUnit(f"{g} is not a unit mod {m}")
     amb = sorted({x % m for x in ambient})
     unvisited = set(amb)
     cosets = []
@@ -254,7 +127,7 @@ def cosets_of(ambient: Iterable[int], generator: Residue) -> CosetPartition:
 
 
 def orbits_on_cosets(
-    partition: CosetPartition, s: Residue
+    partition: CosetPartition, s: int
 ) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Cycles of the multiplier s on the cosets, as walks of cosets.
 
@@ -264,14 +137,10 @@ def orbits_on_cosets(
     its least coset and follows repeated multiplication by s; cycles are
     listed by ascending start.
     """
-    if s.modulus != partition.modulus:
-        raise BadFrame(
-            f"multiplier modulus {s.modulus} does not match partition"
-        )
-    if not s.is_unit:
-        raise NonUnit(f"{s.value} is not a unit mod {s.modulus}")
     m = partition.modulus
-    sv = s.value
+    sv = s % m
+    if math.gcd(sv, m) != 1:
+        raise NonUnit(f"{sv} is not a unit mod {m}")
     by_rep = {c[0]: c for c in partition.cosets}
     seen: set[int] = set()
     cycles = []

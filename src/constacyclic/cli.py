@@ -57,8 +57,11 @@ def _dumps(value, pad0: str) -> str:
 
 
 def _cmd_exists(args) -> int:
+    """Verdict with a certified witness; over the witness cap, the verdict
+    alone, with the reason the witness was skipped."""
     setting = _setting_from_args(args)
-    verdict = duadic.exists_type2(setting)
+    over_cap = setting.n > duadic.MAX_WITNESS_LENGTH
+    verdict = duadic.exists_type2(setting, with_witness=not over_cap)
     payload = {
         "q": setting.q,
         "n": setting.n,
@@ -70,6 +73,10 @@ def _cmd_exists(args) -> int:
     }
     if verdict.witness is not None:
         payload["witness"] = duadic.certificate(verdict.witness)
+    elif verdict.exists:
+        payload["witness_skipped"] = (
+            f"length {setting.n} exceeds the 2^22 witness cap"
+        )
     _emit(payload)
     return 0 if verdict.exists else 1
 

@@ -19,7 +19,7 @@ from functools import cached_property, lru_cache
 from itertools import repeat
 
 from . import gf
-from .arith import MAX_MODULUS, Residue, cosets_of, factorize
+from .arith import MAX_MODULUS, cosets_of, factorize
 from .errors import Internal, NonUnit, NotInvariant, SettingMismatch, TooLarge
 from .gf import FieldElement, FieldSpec, Poly
 
@@ -111,7 +111,7 @@ class CodeSetting:
         key = t % self.r
         part = self._cosets.get(key)
         if part is None:
-            part = cosets_of(self.p_set(t), Residue(self.q, self.nr))
+            part = cosets_of(self.p_set(t), self.q, self.nr)
             self._cosets[key] = part
         return part
 
@@ -285,105 +285,6 @@ class ConstaCode:
 
 
 @dataclass(frozen=True)
-class Codeword:
-    """A length-n word over F_q, identified with its polynomial."""
-
-    setting: CodeSetting
-    coords: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.coords) != self.setting.n:
-            raise SettingMismatch(
-                f"word length {len(self.coords)} != n = {self.setting.n}"
-            )
-        q = self.setting.q
-        if any(not 0 <= c < q for c in self.coords):
-            raise ValueError("coordinate out of field range")
-
-    def poly(self) -> Poly:
-        return Poly(self.setting.field, self.coords)
-
-    def weight(self) -> int:
-        return sum(1 for c in self.coords if c)
-
-
-def word_from_poly(setting: CodeSetting, poly: Poly) -> Codeword:
-    if poly.field is not setting.field:
-        raise SettingMismatch("polynomial over the wrong field")
-    if poly.degree >= setting.n:
-        raise ValueError("polynomial degree exceeds the code length")
-    cs = poly.coeffs + (0,) * (setting.n - len(poly.coeffs))
-    return Codeword(setting, cs)
-
-
-def contains(code: ConstaCode, word: Codeword) -> bool:
-    """Membership: the generator polynomial divides the word."""
-    if word.setting != code.setting:
-        raise SettingMismatch("word and code from different settings")
-    return code.gen_poly.divides(word.poly())
-
-
-def hamming_weight(word: Codeword) -> int:
-    return word.weight()
-
-
-def inner_product(a: Codeword, b: Codeword) -> FieldElement:
-    if a.setting != b.setting:
-        raise SettingMismatch("words from different settings")
-    F = a.setting.field
-    acc = 0
-    for x, y in zip(a.coords, b.coords):
-        acc = F.add(acc, F.mul(x, y))
-    return F.element(acc)
-
-
-def ring_mul(
-    setting: CodeSetting, t: int, a: tuple[int, ...], b: tuple[int, ...]
-) -> tuple[int, ...]:
-    """Product of two words in R_{n,lambda^t}."""
-    F = setting.field
-    n = setting.n
-    lam_t = setting.lam_power(t)
-    if F.m == 1:
-        p = F.p
-        prod = [0] * (2 * n - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    prod[i + j] += ai * bj
-        out = [0] * n
-        for i in range(n):
-            out[i] = prod[i] % p
-        for i in range(n, 2 * n - 1):
-            c = prod[i] % p
-            if c:
-                out[i - n] = (out[i - n] + c * lam_t) % p
-        return tuple(out)
-    prod = [0] * (2 * n - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    prod[i + j] = F.add(prod[i + j], F.mul(ai, bj))
-    out = list(prod[:n])
-    for i in range(n, 2 * n - 1):
-        if prod[i]:
-            out[i - n] = F.add(out[i - n], F.mul(prod[i], lam_t))
-    return tuple(out)
-
-
-def spanning_words(code: ConstaCode) -> list[Codeword]:
-    """X**j * generator for j < dim; a basis of the code."""
-    n = code.setting.n
-    g = code.gen_poly.coeffs
-    out = []
-    for j in range(code.dim):
-        cs = (0,) * j + g
-        out.append(Codeword(code.setting, cs + (0,) * (n - len(cs))))
-    return out
-
-
-@dataclass(frozen=True)
 class IsometryDesc:
     """Monomial form of the weight-preserving map X -> X**tbar.
 
@@ -413,10 +314,6 @@ class IsometryDesc:
         for i, (pi, sc) in enumerate(zip(self.perm, self.scalars_for(src_t))):
             out[pi] = F.mul(coords[i], sc)
         return tuple(out)
-
-    def apply_poly(self, poly: Poly, src_t: int = 1) -> Poly:
-        coords = poly.coeffs + (0,) * (self.setting.n - len(poly.coeffs))
-        return Poly(self.setting.field, self.apply_word(coords, src_t))
 
 
 def isometry(setting: CodeSetting, t: int) -> IsometryDesc:

@@ -28,15 +28,7 @@ from functools import lru_cache
 from itertools import compress
 
 from . import gf
-from .arith import (
-    CrtFrame,
-    Residue,
-    _mult_order,
-    crt_compose,
-    factorize,
-    nu2,
-    orbits_on_cosets,
-)
+from .arith import _mult_order, factorize, nu2, orbits_on_cosets
 from .codes import CodeSetting, ConstaCode, IndexSet, make_setting
 from .errors import Internal, NonUnit, NoSplitting, TooLarge
 from .gf import Poly
@@ -199,19 +191,19 @@ def exists_type2(setting: CodeSetting, *, with_witness: bool = True) -> Existenc
 
 
 def _compose_multiplier(setting: CodeSetting, r_side: int, odd_parts: dict[int, int]) -> int:
-    """CRT-glue a multiplier: r_side on prime powers of n_r*r, s_i elsewhere."""
+    """CRT-glue a multiplier: r_side on prime powers of n_r*r, s_i elsewhere.
+
+    The result is the least residue mod nr that reduces to each
+    component modulo its prime power w.
+    """
     nr = setting.nr
-    if nr == 1:
-        return 0
-    frame = CrtFrame.from_modulus(nr)
-    parts = []
-    for w in frame.factors:
-        p = frame.prime_of(w)
-        if setting.r % p == 0:
-            parts.append(r_side % w)
-        else:
-            parts.append(odd_parts[w] % w)
-    return crt_compose(parts, frame).value
+    total = 0
+    for p, e in factorize(nr):
+        w = p**e
+        part = r_side if setting.r % p == 0 else odd_parts[w]
+        rest = nr // w
+        total += part * rest * pow(rest, -1, w)
+    return total % nr
 
 
 def _even_case_components(setting: CodeSetting) -> dict[int, int]:
@@ -617,11 +609,10 @@ def max_iso_orthogonal_dim(setting: CodeSetting) -> int:
     cycle of cosets of size c contributes c * L / 2 or nothing.
     """
     part = setting.cosets(1)
-    nr = setting.nr
     best = 0
     for s in multiplier_group(setting):
         total = 0
-        for cycle in orbits_on_cosets(part, Residue(s, nr)):
+        for cycle in orbits_on_cosets(part, s):
             if len(cycle) % 2 == 0:
                 total += sum(map(len, cycle[0::2]))
         best = max(best, total)

@@ -10,11 +10,7 @@ class TooLarge(ValueError):
 
 
 class NonUnit(ValueError):
-    """Residue is not invertible modulo its modulus."""
-
-
-class BadFrame(ValueError):
-    """CRT frame is inconsistent or incompatible with its arguments."""
+    """Integer is not invertible modulo its modulus."""
 
 
 class NotClosed(ValueError):

@@ -488,21 +488,6 @@ def poly_to_text(poly: Poly) -> str:
     return ", ".join(element_to_text(F, c) for c in coeffs)
 
 
-def poly_from_text(field: FieldSpec, text: str) -> Poly:
-    text = text.strip()
-    if not text:
-        return Poly(field, ())
-    if field.m == 1:
-        coeffs = tuple(int(c) for c in text.replace(",", " ").split())
-        if any(not 0 <= c < field.p for c in coeffs):
-            raise ValueError(f"coefficient out of range in {text!r}")
-    else:
-        coeffs = tuple(
-            element_from_text(field, part) for part in text.split(",")
-        )
-    return Poly(field, coeffs)
-
-
 # ---------------------------------------------------------------------------
 # extension towers
 

@@ -4,6 +4,10 @@ When the 2-part of q-1 is at least 4, length n = q+1 with r equal to
 that 2-part admits an explicit even-like splitting whose codes are
 subfield images of generalized Reed-Solomon codes over F_{q^2} and meet
 the Singleton bound with parameters [q+1, (q-1)/2, (q+5)/2].
+
+This module builds the plan, the verified splitting and the CLI report.
+The evaluation-code check that compares the construction with the GRS
+codes over F_{q^2} is a test oracle and lives in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from dataclasses import dataclass
 
 from . import codes, duadic, gf
 from .arith import nu2
-from .codes import CodeSetting, ConstaCode, IndexSet, make_setting
+from .codes import CodeSetting, IndexSet, make_setting
 from .duadic import Splitting, SplittingKind
 from .errors import BadLambda, BadQ, Internal, TooLarge
 from .gf import FieldElement, FieldSpec
@@ -91,75 +95,6 @@ def grs_splitting(plan: GrsPlan, lam=None) -> Splitting:
     if not res.ok:
         raise Internal(f"planned splitting failed check {res.first_failure}")
     return sp
-
-
-def grs_code_pair(plan: GrsPlan, lam=None) -> tuple[ConstaCode, ConstaCode]:
-    """The even-like pair of [q+1, (q-1)/2] codes behind the plan."""
-    return grs_splitting(plan, lam).codes()
-
-
-def grs_oracle_check(plan: GrsPlan, lam=None, z_override: int | None = None) -> bool:
-    """Compare the extension-scalars code with the evaluation code.
-
-    Enumerates the evaluation words of the monomials of degree below
-    n'-1, verifies every one vanishes at the roots indexed by the
-    complement of P, and checks the evaluation words already span the
-    right dimension.  A wrong twist exponent z makes the root conditions
-    fail, so this really exercises the construction.
-    """
-    setting = _resolve(plan, lam)
-    tower = setting.tower
-    if tower.d != 2:
-        raise Internal("evaluation code must live in the quadratic extension")
-    E = tower.ext
-    nr = setting.nr
-    n = plan.n
-    z = plan.z if z_override is None else z_override
-    rows = []
-    for k in range(plan.n_prime - 1):
-        step = (plan.r * z + 1 + plan.r * k) % nr
-        rows.append(tuple(tower.theta_pows[(-j * step) % nr] for j in range(n)))
-    defining = sorted(set(setting.p_set(1)) - set(plan.p_elems))
-    for row in rows:
-        for x in defining:
-            acc = 0
-            for j, c in enumerate(row):
-                acc = E.add(acc, E.mul(c, tower.theta_pows[(x * j) % nr]))
-            if acc != 0:
-                return False
-    return _rank(E, [list(r) for r in rows]) == len(plan.p_elems)
-
-
-def _rank(E: FieldSpec, rows: list[list[int]]) -> int:
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for col in range(cols):
-        pivot = next(
-            (i for i in range(rank, len(rows)) if rows[i][col] != 0), None
-        )
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = E.inv(rows[rank][col])
-        rows[rank] = [E.mul(inv, c) for c in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [
-                    E.sub(c, E.mul(f, rc)) for c, rc in zip(rows[i], rows[rank])
-                ]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
-
-
-def is_mds(code: ConstaCode) -> bool:
-    """Whether the exact minimum distance meets the Singleton bound."""
-    d = codes.min_distance(code)
-    if d == codes.INFINITY:
-        return False
-    return d == code.setting.n - code.dim + 1
 
 
 def mds_report(q: int, lam=None) -> dict:

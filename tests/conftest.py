@@ -1,11 +1,28 @@
+import math
 import random
 
 import pytest
 
-from constacyclic import exists_type2
+from constacyclic import default_lambda, exists_type2, field_for_order, make_setting
+from constacyclic.arith import divisors
 from constacyclic.errors import TooLarge
 
-from oracles import sweep_settings
+
+def sweep_settings(max_q: int = 16, max_n: int = 30):
+    """Every valid (q, n, canonical lambda of each order r) in the box."""
+    out = []
+    for q in range(2, max_q + 1):
+        try:
+            field = field_for_order(q)
+        except ValueError:
+            continue
+        for r in divisors(q - 1):
+            lam = default_lambda(field, r)
+            for n in range(1, max_n + 1):
+                if math.gcd(n, q) != 1:
+                    continue
+                out.append(make_setting(q, n, lam.label))
+    return out
 
 
 @pytest.fixture(scope="session")

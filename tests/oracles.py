@@ -3,14 +3,35 @@
 These deliberately avoid the library's existence logic: they decide
 splitting existence by enumerating subsets, decide distances by
 enumerating codewords in plain Python, and so on.  Slow on purpose.
+
+Nothing here is imported from constacyclic.  A setting is read only for
+its constants (q, n, r, nr, n_r_prime, lambda), its field's arithmetic
+and its tower's tables; a code only for its generator coefficients and
+dimension.  Words are plain tuples of field labels.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 
-from constacyclic.duadic import multiplier_group
+
+def p_set_reference(setting, t: int = 1) -> tuple:
+    """P_{n,lambda^t} by filtering every residue mod nr for the class of
+    t mod r; empty when t is not a unit mod nr."""
+    nr, r = setting.nr, setting.r
+    if math.gcd(t % nr, nr) != 1:
+        return ()
+    return tuple(x for x in range(nr) if x % r == t % r)
+
+
+def multiplier_group_reference(setting) -> tuple:
+    """G_{n,r}: every unit mod nr congruent to 1 mod r, by filtering."""
+    nr, r = setting.nr, setting.r
+    return tuple(
+        x for x in range(nr) if math.gcd(x, nr) == 1 and x % r == 1 % r
+    )
 
 
 def coset_index(setting, elems) -> dict:
@@ -71,9 +92,12 @@ def every_other_coset_reference(setting, s: int, ambient_elems):
     return tuple(sorted(x for rep in pairing[0] for x in index[rep]))
 
 
-def p0_filter(setting):
-    """P0 for t = 1 by filtering P_{n,lambda} for multiples of n_r'."""
-    return tuple(x for x in setting.p_set(1) if x % setting.n_r_prime == 0)
+def p0_filter(setting, t: int = 1):
+    """P0 by filtering P_{n,lambda^t} for multiples of n_r'; empty when t
+    is not a unit."""
+    return tuple(
+        x for x in p_set_reference(setting, t) if x % setting.n_r_prime == 0
+    )
 
 
 @lru_cache(maxsize=None)
@@ -118,9 +142,9 @@ def max_iso_orthogonal_dim_exhaustive(setting) -> int:
     """Best total over multipliers s of the exhausted s-cycle
     contributions, each cycle of cosets of size c worth c times its best
     compatible popcount."""
-    index = coset_index(setting, setting.p_set(1))
+    index = coset_index(setting, p_set_reference(setting))
     best = 0
-    for s in multiplier_group(setting):
+    for s in multiplier_group_reference(setting):
         total = sum(
             len(index[orbit[0]]) * best_compatible_popcount(len(orbit))
             for orbit in rep_cycles(setting, s, index)
@@ -147,28 +171,99 @@ def type2_exists_bruteforce(setting) -> bool:
     """Exhaustive search over multipliers s and q-closed sets P for a
     partition P0 | P | sP of the full index set."""
     p0 = set(p0_filter(setting))
-    outside = tuple(x for x in setting.p_set(1) if x not in p0)
+    outside = tuple(x for x in p_set_reference(setting) if x not in p0)
     return any(
-        _splittable_by(setting, s, outside) for s in multiplier_group(setting)
+        _splittable_by(setting, s, outside)
+        for s in multiplier_group_reference(setting)
     )
 
 
 def type1_exists_bruteforce(setting) -> bool:
     """Same search without carving out P0: partition P | sP of everything."""
-    ambient = setting.p_set(1)
+    ambient = p_set_reference(setting)
     return any(
-        _splittable_by(setting, s, ambient) for s in multiplier_group(setting)
+        _splittable_by(setting, s, ambient)
+        for s in multiplier_group_reference(setting)
     )
+
+
+def weight(word) -> int:
+    """Hamming weight: the number of nonzero coordinates."""
+    return sum(1 for c in word if c)
+
+
+def inner_product(F, a, b) -> int:
+    """Euclidean inner product of two words, as a field label."""
+    if len(a) != len(b):
+        raise ValueError(f"words of lengths {len(a)} and {len(b)}")
+    acc = 0
+    for x, y in zip(a, b):
+        acc = F.add(acc, F.mul(x, y))
+    return acc
+
+
+def _power(F, a: int, e: int) -> int:
+    """a**e by e multiplications."""
+    out = 1
+    for _ in range(e):
+        out = F.mul(out, a)
+    return out
+
+
+def ring_mul(setting, t: int, a, b) -> tuple:
+    """Product of two words in R_{n,lambda^t}: the schoolbook product,
+    folded with X**n = lambda**t."""
+    F, n = setting.field, setting.n
+    lam_t = _power(F, setting.lam.label, t % setting.r)
+    prod = [0] * (2 * n - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    prod[i + j] = F.add(prod[i + j], F.mul(ai, bj))
+    out = prod[:n]
+    for i in range(n, 2 * n - 1):
+        out[i - n] = F.add(out[i - n], F.mul(prod[i], lam_t))
+    return tuple(out)
+
+
+def spanning_words(code) -> list:
+    """X**j * g for j < dim, padded to length n; a basis of the code."""
+    n, g = code.setting.n, code.gen_poly.coeffs
+    return [(0,) * j + g + (0,) * (n - j - len(g)) for j in range(code.dim)]
+
+
+def contains(code, word) -> bool:
+    """Membership: long division of the word by the generator leaves no
+    remainder."""
+    F, g = code.setting.field, code.gen_poly.coeffs
+    if len(word) != code.setting.n:
+        raise ValueError(f"word length {len(word)} != n = {code.setting.n}")
+    rem = list(word)
+    d = len(g) - 1
+    lead_inv = F.inv(g[-1])
+    for i in range(len(rem) - 1, d - 1, -1):
+        c = F.mul(rem[i], lead_inv)
+        if c:
+            for j, gj in enumerate(g):
+                rem[i - d + j] = F.sub(rem[i - d + j], F.mul(c, gj))
+    return not any(rem)
+
+
+def element_order(F, a: int) -> int:
+    """Multiplicative order of the nonzero label a, by repeated products."""
+    k, x = 1, a
+    while x != 1:
+        x = F.mul(x, a)
+        k += 1
+    return k
 
 
 def min_distance_bruteforce(code) -> float:
     """Weight scan over every nonzero codeword, no scalar-class tricks."""
     if code.dim == 0:
         return float("inf")
-    from constacyclic import spanning_words
-
-    gens = [w.coords for w in spanning_words(code)]
-    return min_weight_bruteforce(code.setting.field, gens)
+    return min_weight_bruteforce(code.setting.field, spanning_words(code))
 
 
 def min_weight_bruteforce(F, gens) -> int:
@@ -189,46 +284,20 @@ def min_weight_bruteforce(F, gens) -> int:
     return best
 
 
-def sweep_settings(max_q: int = 16, max_n: int = 30):
-    """Every valid (q, n, canonical lambda of each order r) in the box."""
-    import math
-
-    from constacyclic import default_lambda, field_for_order, make_setting
-    from constacyclic.arith import divisors
-
-    out = []
-    for q in range(2, max_q + 1):
-        try:
-            field = field_for_order(q)
-        except ValueError:
-            continue
-        for r in divisors(q - 1):
-            lam = default_lambda(field, r)
-            for n in range(1, max_n + 1):
-                if math.gcd(n, q) != 1:
-                    continue
-                out.append(make_setting(q, n, lam.label))
-    return out
-
-
 def set_check_reference(setting, t, s, p_elems, sp_elems, kind):
     """The splitting set checks written out literally, as (name, passed).
 
     Builds the whole ambient set P_{n,lambda^t} and P0 by filtering it,
-    and compares every set directly.
+    and compares every set directly.  kind is "type-i" or "type-ii".
     """
-    import math
-
-    from constacyclic import SplittingKind
-
     nr, r, q = setting.nr, setting.r, setting.q
     t %= nr
     s %= nr
     p = {x % nr for x in p_elems}
     sps = {x % nr for x in sp_elems}
     unit = math.gcd(t, nr) == 1
-    ambient = set(setting.p_set(t)) if unit else set()
-    p0 = {x for x in ambient if x % setting.n_r_prime == 0}
+    ambient = set(p_set_reference(setting, t))
+    p0 = set(p0_filter(setting, t))
     out = [
         ("t-unit", unit),
         ("s-in-multiplier-group", math.gcd(s, nr) == 1 and s % r == 1 % r),
@@ -238,7 +307,7 @@ def set_check_reference(setting, t, s, p_elems, sp_elems, kind):
         ("sp-mu-q-invariant", {(q * x) % nr for x in sps} == sps),
         ("sp-equals-s-times-p", {(s * x) % nr for x in p} == sps),
     ]
-    if kind == SplittingKind.TYPE_II:
+    if kind == "type-ii":
         out.append(
             ("parts-disjoint", not (p & sps) and not (p0 & p) and not (p0 & sps))
         )
@@ -260,30 +329,59 @@ def is_square_mod_scan(a: int, m: int) -> bool:
     return a % m in _squares_mod(m)
 
 
+def _order_scan(a: int, m: int) -> int:
+    """Multiplicative order of the unit a mod m, by repeated products."""
+    k, x = 1, a % m
+    while x != 1 % m:
+        x = x * a % m
+        k += 1
+    return k
+
+
+def _twos(k: int) -> int:
+    """The number of factors of 2 in k >= 1."""
+    v = 0
+    while k % 2 == 0:
+        k //= 2
+        v += 1
+    return v
+
+
 @lru_cache(maxsize=None)
 def _admissible_root_scan(q_mod_w: int, w: int, p: int):
-    from constacyclic.arith import _mult_order, nu2
-
-    target = nu2(_mult_order(q_mod_w, w)) + 1
+    target = _twos(_order_scan(q_mod_w, w)) + 1
     cands = [
         x
         for x in range(1, w)
         if x % p != 0
         and (x * x) % w == q_mod_w
-        and nu2(_mult_order(x, w)) == target
+        and _twos(_order_scan(x, w)) == target
     ]
     return min(cands) if cands else None
+
+
+def _prime_power_parts(m: int) -> list:
+    """(p, p**v) for each prime p dividing m, by trial division."""
+    out, p = [], 2
+    while p * p <= m:
+        w = 1
+        while m % p == 0:
+            m //= p
+            w *= p
+        if w > 1:
+            out.append((p, w))
+        p += 1
+    if m > 1:
+        out.append((m, m))
+    return out
 
 
 def odd_case_components_scan(q: int, m: int):
     """Least square root of q mod each prime power w of m whose order has
     one more factor of 2 than q's, by scanning all of range(w); None when
     some w has no such root."""
-    from constacyclic.arith import factorize
-
     out = {}
-    for p, v in factorize(m):
-        w = p**v
+    for p, w in _prime_power_parts(m):
         x = _admissible_root_scan(q % w, w, p)
         if x is None:
             return None
@@ -294,10 +392,8 @@ def odd_case_components_scan(q: int, m: int):
 def poly_from_root_set_reference(tower, root_exponents):
     """prod(X - theta**i) over the whole exponent set, expanded root by
     root in the extension and projected to F_q at the end, with no
-    per-coset structure and no cache; None when a coefficient does not
-    descend."""
-    from constacyclic import Poly
-
+    per-coset structure and no cache, as F_q coefficients low-to-high;
+    None when a coefficient does not descend."""
     ext, nr = tower.ext, tower.nr
     elems = getattr(root_exponents, "elems", root_exponents)
     prod = [1]
@@ -309,10 +405,8 @@ def poly_from_root_set_reference(tower, root_exponents):
             nxt[j] = ext.add(prod[j - 1], ext.mul(mr, prod[j]))
         nxt[len(prod)] = prod[-1]
         prod = nxt
-    coeffs = [tower.project(c) for c in prod]
-    if None in coeffs:
-        return None
-    return Poly(tower.base, tuple(coeffs))
+    coeffs = tuple(tower.project(c) for c in prod)
+    return None if None in coeffs else coeffs
 
 
 def _int_poly_rem(a, b, p):
@@ -341,3 +435,56 @@ def least_irreducible_reference(p: int, m: int) -> tuple[int, ...]:
         if all(any(_int_poly_rem(cand, f, p)) for f in divisors):
             return cand
     raise AssertionError(f"no irreducible of degree {m} over F_{p}")
+
+
+def grs_evaluation_check(plan, setting, z: int | None = None) -> bool:
+    """Compare the extension-scalars code with the evaluation code.
+
+    Enumerates the evaluation words of the monomials of degree below
+    n'-1, verifies every one vanishes at the roots indexed by the
+    complement of P, and checks the evaluation words already span the
+    right dimension.  A wrong twist exponent z makes the root conditions
+    fail, so this really exercises the construction.
+    """
+    tower = setting.tower
+    assert tower.d == 2, "evaluation code must live in the quadratic extension"
+    E, nr, n = tower.ext, setting.nr, plan.n
+    z = plan.z if z is None else z
+    rows = []
+    for k in range(plan.n_prime - 1):
+        step = (plan.r * z + 1 + plan.r * k) % nr
+        rows.append([tower.theta_pows[(-j * step) % nr] for j in range(n)])
+    defining = sorted(set(p_set_reference(setting)) - set(plan.p_elems))
+    for row in rows:
+        for x in defining:
+            acc = 0
+            for j, c in enumerate(row):
+                acc = E.add(acc, E.mul(c, tower.theta_pows[(x * j) % nr]))
+            if acc != 0:
+                return False
+    return _rank(E, rows) == len(plan.p_elems)
+
+
+def _rank(E, rows: list) -> int:
+    """Rank over the field E by Gauss-Jordan elimination, in place."""
+    rank = 0
+    cols = len(rows[0]) if rows else 0
+    for col in range(cols):
+        pivot = next(
+            (i for i in range(rank, len(rows)) if rows[i][col] != 0), None
+        )
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = E.inv(rows[rank][col])
+        rows[rank] = [E.mul(inv, c) for c in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [
+                    E.sub(c, E.mul(f, rc)) for c, rc in zip(rows[i], rows[rank])
+                ]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank

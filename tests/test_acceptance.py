@@ -12,7 +12,6 @@ import time
 import pytest
 
 from constacyclic import (
-    Codeword,
     ConstaCode,
     IndexSet,
     Splitting,
@@ -23,12 +22,8 @@ from constacyclic import (
     even_dual_is_odd,
     exists_type1,
     exists_type2,
-    grs_code_pair,
-    grs_oracle_check,
     grs_plan,
-    hamming_weight,
-    inner_product,
-    is_mds,
+    grs_splitting,
     isometry,
     make_setting,
     max_iso_orthogonal_dim,
@@ -36,11 +31,8 @@ from constacyclic import (
     orbits_on_cosets,
     p0_set,
     poly_to_text,
-    ring_mul,
-    spanning_words,
     verify_splitting,
 )
-from constacyclic.arith import Residue
 import oracles
 from conftest import random_invariant_set
 
@@ -86,7 +78,7 @@ def test_criterion_02_worked_example_len14():
         (33, 37),
     }
     ok = set(part.cosets) == expected_cosets
-    orbits = orbits_on_cosets(part, Residue(29, 56))
+    orbits = orbits_on_cosets(part, 29)
     ok &= set(orbits) == {
         ((21, 49),),
         ((1, 13), (29, 41)),
@@ -148,13 +140,13 @@ def test_criterion_04_mds_pairs():
     ok = True
     for q in (5, 13):
         plan = grs_plan(q)
-        c1, c2 = grs_code_pair(plan)
+        sp = grs_splitting(plan)
         want = (q + 1, (q - 1) // 2, (q + 5) // 2)
-        for c in (c1, c2):
-            got = (c.setting.n, c.dim, min_distance(c))
+        for c in sp.codes():
+            n, k, d = got = (c.setting.n, c.dim, min_distance(c))
             ok &= got == want
-            ok &= is_mds(c)
-        ok &= grs_oracle_check(plan)
+            ok &= d == n - k + 1  # meets the Singleton bound
+        ok &= oracles.grs_evaluation_check(plan, sp.setting)
     elapsed = time.time() - t0
     ok &= elapsed < 60.0
     report(4, ok, f"[q+1,(q-1)/2,(q+5)/2] MDS pairs and GRS oracle ({elapsed:.1f}s)")
@@ -215,9 +207,9 @@ def test_criterion_07_duality_suite(tower_friendly):
             failures += 1
             continue
         cross_ok = all(
-            inner_product(a, b).label == 0
-            for a in spanning_words(code)
-            for b in spanning_words(d)
+            oracles.inner_product(st.field, a, b) == 0
+            for a in oracles.spanning_words(code)
+            for b in oracles.spanning_words(d)
         )
         if not cross_ok:
             failures += 1
@@ -262,12 +254,11 @@ def test_criterion_10_isometry_suite(tower_friendly):
         for _ in range(200):
             a = tuple(rng.randrange(st.q) for _ in range(st.n))
             b = tuple(rng.randrange(st.q) for _ in range(st.n))
-            wa = Codeword(st, a)
-            if hamming_weight(Codeword(st, iso.apply_word(a))) != hamming_weight(wa):
+            if oracles.weight(iso.apply_word(a)) != oracles.weight(a):
                 failures += 1
                 break
-            left = iso.apply_word(ring_mul(st, 1, a, b))
-            right = ring_mul(st, t, iso.apply_word(a), iso.apply_word(b))
+            left = iso.apply_word(oracles.ring_mul(st, 1, a, b))
+            right = oracles.ring_mul(st, t, iso.apply_word(a), iso.apply_word(b))
             if left != right:
                 failures += 1
                 break

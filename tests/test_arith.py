@@ -1,20 +1,15 @@
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
-from constacyclic import (
-    CrtFrame,
-    Residue,
-    cosets_of,
-    crt_compose,
-    crt_decompose,
-    mult_order,
-    nu2,
-    orbits_on_cosets,
-)
-from constacyclic.arith import euler_phi
-from constacyclic.errors import BadFrame, NonUnit, NotClosed, NotInvariant, TooLarge
+from constacyclic import cosets_of, nu2, orbits_on_cosets
+from constacyclic.arith import _mult_order, divisors, euler_phi, factorize
+from constacyclic.duadic import _compose_multiplier
+from constacyclic.errors import NonUnit, NotClosed, NotInvariant
+
+from conftest import sweep_settings
 
 
 def naive_order(a, m):
@@ -28,18 +23,18 @@ def naive_order(a, m):
 
 class TestMultOrder:
     def test_two_mod_five(self):
-        assert mult_order(Residue(2, 5)) == 4
+        assert _mult_order(2, 5) == 4
 
     def test_identity(self):
         for m in (2, 7, 24, 100):
-            assert mult_order(Residue(1, m)) == 1
+            assert _mult_order(1, m) == 1
 
     def test_thirteen_mod_twentyfour(self):
-        assert mult_order(Residue(13, 24)) == 2
+        assert _mult_order(13, 24) == 2
 
     def test_rejects_nonunit(self):
         with pytest.raises(NonUnit):
-            mult_order(Residue(6, 24))
+            _mult_order(6, 24)
 
     def test_matches_naive_and_divides_phi(self):
         for m in range(1, 200):
@@ -47,7 +42,7 @@ class TestMultOrder:
             for a in range(m if m > 1 else 1):
                 if math.gcd(a, m) != 1:
                     continue
-                k = mult_order(Residue(a, m))
+                k = _mult_order(a, m)
                 assert k == naive_order(a, m)
                 assert phi % k == 0
 
@@ -58,7 +53,7 @@ class TestMultOrder:
             a = rng.randrange(1, m)
             if math.gcd(a, m) != 1:
                 continue
-            k = mult_order(Residue(a, m))
+            k = _mult_order(a, m)
             assert pow(a, k, m) == 1
             assert euler_phi(m) % k == 0
 
@@ -79,73 +74,42 @@ class TestNu2:
             nu2(0)
 
 
-class TestResidue:
-    def test_reduction_and_ops(self):
-        x = Residue(30, 24)
-        assert x.value == 6
-        assert (x * 5).value == 6
-        assert (x + Residue(20, 24)).value == 2
-        assert (-x).value == 18
-        assert (Residue(13, 24) ** 2).value == 1
-
-    def test_inverse(self):
-        assert Residue(13, 24).inverse().value == 13
-        with pytest.raises(NonUnit):
-            Residue(6, 24).inverse()
-
-    def test_modulus_cap(self):
-        with pytest.raises(TooLarge):
-            Residue(1, (1 << 31) + 1)
-
-    def test_mixed_moduli_rejected(self):
-        with pytest.raises(BadFrame):
-            Residue(1, 5) * Residue(1, 7)
+def glue(nr, r, r_side, odd_parts):
+    return _compose_multiplier(SimpleNamespace(nr=nr, r=r), r_side, odd_parts)
 
 
 class TestCrt:
+    """The integer CRT that glues a multiplier from its components."""
+
     def test_golden_63(self):
-        frame = CrtFrame.from_modulus(63)
-        assert frame.factors == (9, 7)
-        parts = crt_decompose(Residue(55, 63), frame)
-        assert tuple(p.value for p in parts) == (1, 6)
+        assert glue(63, 3, 1, {7: 6}) == 55
 
     def test_zero(self):
-        frame = CrtFrame.from_modulus(360)
-        parts = crt_decompose(Residue(0, 360), frame)
-        assert all(p.value == 0 for p in parts)
+        assert glue(360, 1, 0, {8: 0, 9: 0, 5: 0}) == 0
 
     def test_one_congruent_component(self):
         # gluing 1 on the 2-part leaves a residue that is 1 mod 2^(e+u)
-        frame = CrtFrame.from_modulus(56)
-        s = crt_compose([1, 6], frame)
-        assert s.value % 8 == 1 and s.value % 7 == 6
+        s = glue(56, 4, 1, {7: 6})
+        assert s % 8 == 1 and s % 7 == 6
 
     def test_round_trips(self):
+        """Over random moduli up to 10^4 and every sweep setting, the glued
+        multiplier lies in [0, nr) and reduces to each component modulo
+        each prime power."""
         rng = random.Random(5)
-        for m in (24, 56, 63, 360, 1, 9973):
-            frame = CrtFrame.from_modulus(m)
-            for _ in range(1000):
-                x = Residue(rng.randrange(m) if m > 1 else 0, m)
-                parts = crt_decompose(x, frame)
-                assert crt_compose(parts, frame) == x
-            for _ in range(50):
-                parts = [rng.randrange(w) for w in frame.factors]
-                x = crt_compose(parts, frame)
-                back = crt_decompose(x, frame)
-                assert [p.value for p in back] == parts
-
-    def test_bad_frames(self):
-        with pytest.raises(BadFrame):
-            CrtFrame(12, (6, 2))  # 6 is not a prime power
-        with pytest.raises(BadFrame):
-            CrtFrame(8, (2, 4))  # not coprime
-        with pytest.raises(BadFrame):
-            CrtFrame(10, (2, 3))  # wrong product
-        frame = CrtFrame.from_modulus(63)
-        with pytest.raises(BadFrame):
-            crt_decompose(Residue(1, 24), frame)
-        with pytest.raises(BadFrame):
-            crt_compose([1], frame)
+        cases = []
+        for _ in range(2000):
+            nr = rng.randrange(1, 10**4 + 1)
+            cases.append((nr, rng.choice(divisors(nr))))
+        cases += [(st.nr, st.r) for st in sweep_settings(16, 30)]
+        for nr, r in cases:
+            r_side = rng.randrange(-nr, 2 * nr)
+            powers = [(p, p**e) for p, e in factorize(nr)]
+            odd = {w: rng.randrange(3 * w) for p, w in powers if r % p}
+            s = glue(nr, r, r_side, odd)
+            assert 0 <= s < nr, (nr, r)
+            for p, w in powers:
+                assert s % w == (r_side if r % p == 0 else odd[w]) % w, (nr, r, w)
 
 
 def _p_set(n, r, t=1):
@@ -154,7 +118,7 @@ def _p_set(n, r, t=1):
 
 class TestCosets:
     def test_golden_56(self):
-        part = cosets_of(_p_set(14, 4), Residue(13, 56))
+        part = cosets_of(_p_set(14, 4), 13, 56)
         assert (21, 49) in part.cosets
         assert (1, 13) in part.cosets
         assert len(part.cosets) == 7
@@ -162,13 +126,13 @@ class TestCosets:
         assert [c[0] for c in part.cosets] == sorted(c[0] for c in part.cosets)
 
     def test_golden_63(self):
-        part = cosets_of(_p_set(21, 3), Residue(4, 63))
+        part = cosets_of(_p_set(21, 3), 4, 63)
         assert (7, 28, 49) in part.cosets
         assert (1, 4, 16) in part.cosets
         assert len(part.cosets) == 7
 
     def test_singleton(self):
-        part = cosets_of((0,), Residue(5, 7))
+        part = cosets_of((0,), 5, 7)
         assert part.cosets == ((0,),)
 
     def test_partition_invariants(self):
@@ -177,7 +141,7 @@ class TestCosets:
             m = rng.randrange(2, 200)
             units = [g for g in range(1, m) if math.gcd(g, m) == 1]
             g = rng.choice(units)
-            part = cosets_of(range(m), Residue(g, m))
+            part = cosets_of(range(m), g, m)
             everything = [x for c in part.cosets for x in c]
             assert sorted(everything) == list(range(m))
             for c in part.cosets:
@@ -185,7 +149,7 @@ class TestCosets:
 
     def test_not_closed(self):
         with pytest.raises(NotClosed):
-            cosets_of((1, 2), Residue(3, 7))
+            cosets_of((1, 2), 3, 7)
 
     def test_random_subsets_match_orbit_reference(self):
         """Closed sets split into full orbits; others name the least escapee."""
@@ -211,30 +175,30 @@ class TestCosets:
             if escapees:
                 open_seen += 1
                 with pytest.raises(NotClosed, match=rf"^{escapees[0]}\*{g} "):
-                    cosets_of(amb, Residue(g, m))
+                    cosets_of(amb, g, m)
                 continue
             closed_seen += 1
-            part = cosets_of(amb, Residue(g, m))
+            part = cosets_of(amb, g, m)
             assert part.cosets == tuple(sorted({orbit_of[x] for x in amb}))
         assert closed_seen > 50 and open_seen > 50
 
     def test_nonunit_generator(self):
         with pytest.raises(NonUnit):
-            cosets_of(range(6), Residue(2, 6))
+            cosets_of(range(6), 2, 6)
 
 
 class TestOrbits:
     def test_golden_example_orbits(self):
-        part = cosets_of(_p_set(14, 4), Residue(13, 56))
-        orbs = orbits_on_cosets(part, Residue(29, 56))
+        part = cosets_of(_p_set(14, 4), 13, 56)
+        orbs = orbits_on_cosets(part, 29)
         assert orbs == (
             ((1, 13), (29, 41)),
             ((5, 9), (33, 37)),
             ((17, 53), (25, 45)),
             ((21, 49),),
         )
-        part = cosets_of(_p_set(21, 3), Residue(4, 63))
-        orbs = orbits_on_cosets(part, Residue(55, 63))
+        part = cosets_of(_p_set(21, 3), 4, 63)
+        orbs = orbits_on_cosets(part, 55)
         assert orbs == (
             ((1, 4, 16), (31, 55, 61)),
             ((7, 28, 49),),
@@ -243,10 +207,8 @@ class TestOrbits:
         )
 
     def test_golden_cycles_are_swapped_by_multiplier(self):
-        part = cosets_of(
-            tuple(x for x in _p_set(14, 4) if x % 7 != 0), Residue(13, 56)
-        )
-        cycles = orbits_on_cosets(part, Residue(29, 56))
+        part = cosets_of(tuple(x for x in _p_set(14, 4) if x % 7 != 0), 13, 56)
+        cycles = orbits_on_cosets(part, 29)
         assert [c[0] for cycle in cycles for c in cycle[0::2]] == [1, 5, 17]
         # multiplying the even-position cosets by s gives the odd-position ones
         for cycle in cycles:
@@ -254,8 +216,8 @@ class TestOrbits:
                 assert tuple(sorted((29 * x) % 56 for x in a)) == b
 
     def test_identity_multiplier(self):
-        part = cosets_of(_p_set(14, 4), Residue(13, 56))
-        orbs = orbits_on_cosets(part, Residue(1, 56))
+        part = cosets_of(_p_set(14, 4), 13, 56)
+        orbs = orbits_on_cosets(part, 1)
         assert orbs == tuple((c,) for c in part.cosets)
 
     def test_orbit_length_divides_multiplier_order(self):
@@ -263,20 +225,20 @@ class TestOrbits:
         for _ in range(40):
             m = rng.randrange(3, 120)
             units = [g for g in range(1, m) if math.gcd(g, m) == 1]
-            part = cosets_of(range(m), Residue(rng.choice(units), m))
-            s = Residue(rng.choice(units), m)
+            part = cosets_of(range(m), rng.choice(units), m)
+            s = rng.choice(units)
             cycles = orbits_on_cosets(part, s)
             assert sorted(c for cycle in cycles for c in cycle) == sorted(
                 part.cosets
             )
             for cycle in cycles:
-                assert mult_order(s) % len(cycle) == 0
+                assert _mult_order(s, m) % len(cycle) == 0
                 for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-                    assert {(s.value * x) % m for x in a} == set(b)
+                    assert {(s * x) % m for x in a} == set(b)
 
     def test_not_invariant(self):
-        part = cosets_of((1, 5, 9, 13, 17, 21), Residue(5, 24))
+        part = cosets_of((1, 5, 9, 13, 17, 21), 5, 24)
         with pytest.raises(
             NotInvariant, match=r"^7 does not fix the ambient set mod 24$"
         ):
-            orbits_on_cosets(part, Residue(7, 24))
+            orbits_on_cosets(part, 7)

@@ -11,7 +11,7 @@ from constacyclic import cli, exists_type2, make_setting
 from constacyclic.cli import main
 from constacyclic.errors import DivideByZero, Internal, NoSplitting
 
-import oracles
+from conftest import sweep_settings
 
 
 def run(capsys, *argv):
@@ -183,7 +183,7 @@ class TestSplitVerify:
         assert "no Type-II splitting" in err
 
     def test_round_trip_across_small_sweep(self, capsys):
-        for st in oracles.sweep_settings(5, 12):
+        for st in sweep_settings(5, 12):
             if not exists_type2(st, with_witness=False).exists:
                 continue
             from constacyclic import gf
@@ -410,19 +410,37 @@ class TestWitnessCap:
         "sys.exit(main(sys.argv[1:]))\n"
     )
 
+    OVER_CAP_EXISTS = {
+        "q": 2,
+        "n": 2147483647,
+        "r": 1,
+        "lambda": "1",
+        "exists": True,
+        "reason": "odd-square",
+        "type1_exists": False,
+        "witness_skipped": "length 2147483647 exceeds the 2^22 witness cap",
+    }
+
     @pytest.mark.parametrize(
-        "argv,stdin",
+        "argv,stdin,payload",
         [
-            (["exists", "--q", "2", "--n", "2147483647", "--lambda", "1"], ""),
-            (["split", "--q", "2", "--n", "2147483647", "--lambda", "1"], ""),
+            (
+                ["exists", "--q", "2", "--n", "2147483647", "--lambda", "1"],
+                "",
+                OVER_CAP_EXISTS,
+            ),
+            (["split", "--q", "2", "--n", "2147483647", "--lambda", "1"], "", None),
             (
                 ["verify"],
                 '{"q": 3, "n": 1073741824, "lambda": 2, "s": 1, "P": [0], "sP": []}',
+                None,
             ),
         ],
         ids=["exists", "split", "verify"],
     )
-    def test_over_the_cap_exits_two_promptly(self, argv, stdin):
+    def test_over_the_cap_exits_two_promptly(self, argv, stdin, payload):
+        """split and verify are refused with exit 2; exists, which needs no
+        witness for its verdict, prints the verdict alone and exits 0."""
         src = os.path.dirname(os.path.dirname(constacyclic.__file__))
         proc = subprocess.run(
             [sys.executable, "-c", self.CHILD, *argv],
@@ -432,6 +450,11 @@ class TestWitnessCap:
             text=True,
             timeout=5,
         )
+        if payload is not None:
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stderr == ""
+            assert proc.stdout == json.dumps(payload, indent=2) + "\n"
+            return
         assert proc.returncode == 2, proc.stderr
         assert proc.stdout == ""
         assert proc.stderr.startswith("error:")

@@ -18,7 +18,6 @@ from constacyclic import (
     even_dual_is_odd,
     exists_type1,
     exists_type2,
-    inner_product,
     is_iso_orthogonal,
     make_setting,
     max_iso_orthogonal_dim,
@@ -27,7 +26,6 @@ from constacyclic import (
     p0_set,
     poly_from_root_set,
     poly_to_text,
-    spanning_words,
     verify_certificate,
     verify_splitting,
 )
@@ -35,6 +33,7 @@ from constacyclic.arith import euler_phi
 from constacyclic.errors import Internal, NonUnit, NoSplitting, TooLarge
 
 import oracles
+from conftest import sweep_settings
 
 
 @pytest.fixture(scope="module")
@@ -350,7 +349,7 @@ def _count_set_checks(monkeypatch) -> list:
 def sweep60_witnesses():
     """Type-II witnesses for every setting with q <= 16, n <= 60."""
     out = []
-    for st in oracles.sweep_settings(16, 60):
+    for st in sweep_settings(16, 60):
         v = exists_type2(st)
         if v.exists:
             out.append(v.witness)
@@ -433,7 +432,7 @@ class TestEveryOtherCoset:
 
     def test_type1_p_matches_reference(self):
         checked = 0
-        for st in oracles.sweep_settings(16, 60):
+        for st in sweep_settings(16, 60):
             if not exists_type1(st):
                 continue
             w = construct_type1(st)
@@ -535,15 +534,32 @@ class TestWitnessCap:
         assert exists_type2(st13, with_witness=False).exists
 
     def test_cli_refuses_over_the_cap(self, monkeypatch, capsys):
+        """split refuses; exists prints the verdict alone, exit 0 when true
+        and 1 when false, with the payload of a false verdict unchanged."""
+        import json
+
         from constacyclic import duadic
         from constacyclic.cli import main
 
         argv = ["--q", "13", "--n", "14", "--lambda", "5"]
+        no_splitting = ["exists", "--q", "2", "--n", "15", "--lambda", "1"]
+        assert main(["exists", *argv]) == 0
+        within = json.loads(capsys.readouterr().out)
+        assert main(no_splitting) == 1
+        false_within = capsys.readouterr().out
         monkeypatch.setattr(duadic, "MAX_WITNESS_LENGTH", 13)
-        for cmd in ("exists", "split"):
-            assert main([cmd, *argv]) == 2
-            out = capsys.readouterr()
-            assert out.out == "" and out.err.startswith("error:")
+        assert main(["split", *argv]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error:")
+        assert main(["exists", *argv]) == 0
+        out = capsys.readouterr()
+        assert out.err == ""
+        del within["witness"]
+        within["witness_skipped"] = "length 14 exceeds the 2^22 witness cap"
+        assert json.loads(out.out) == within
+        assert list(json.loads(out.out)) == list(within)
+        assert main(no_splitting) == 1
+        assert capsys.readouterr().out == false_within
         assert main(["atlas", "--max-q", "13", "--max-n", "20"]) == 0
         assert capsys.readouterr().out.count("\n") > 0
 
@@ -595,8 +611,8 @@ class TestIsoOrthogonal:
         assert is_iso_orthogonal(code, 1)
         # and the isometry at t=1 is the identity, so the code really is
         # self-orthogonal
-        ws = spanning_words(code)
-        assert all(inner_product(a, b).label == 0 for a in ws for b in ws)
+        ws = oracles.spanning_words(code)
+        assert all(oracles.inner_product(st.field, a, b) == 0 for a in ws for b in ws)
 
     def test_set_condition_matches_algebra(self, tower_friendly):
         from conftest import random_invariant_set

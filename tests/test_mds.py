@@ -7,11 +7,8 @@ from constacyclic import (
     default_lambda,
     distance_lower_bound,
     field_for_order,
-    grs_code_pair,
-    grs_oracle_check,
     grs_plan,
     grs_splitting,
-    is_mds,
     make_setting,
     mds_report,
     min_distance,
@@ -20,6 +17,13 @@ from constacyclic import (
 )
 from constacyclic.errors import BadLambda, BadQ, TooLarge
 from constacyclic.gf import poly_x_pow_minus
+
+import oracles
+
+
+def singleton(code) -> int:
+    """The Singleton bound n - k + 1 that an MDS code meets."""
+    return code.setting.n - code.dim + 1
 
 
 class TestPlan:
@@ -70,16 +74,15 @@ class TestPair:
         assert default_lambda(field_for_order(5), 4).label == 2
 
     def test_q13_parameters(self):
-        c1, c2 = grs_code_pair(grs_plan(13))
+        c1, c2 = grs_splitting(grs_plan(13)).codes()
         assert c1.dim == c2.dim == 6
-        assert min_distance(c1) == min_distance(c2) == 9
-        assert is_mds(c1) and is_mds(c2)
+        assert min_distance(c1) == min_distance(c2) == 9 == singleton(c1)
 
     def test_q5_parameters(self):
-        c1, c2 = grs_code_pair(grs_plan(5))
+        c1, c2 = grs_splitting(grs_plan(5)).codes()
         assert c1.dim == c2.dim == 2
-        assert min_distance(c1) == min_distance(c2) == 5
-        assert is_mds(c1) and is_mds(c2)
+        assert min_distance(c1) == min_distance(c2) == 5 == singleton(c1)
+        assert oracles.min_distance_bruteforce(c1) == 5
 
     def test_splitting_certified(self):
         for q in (5, 9, 13, 17, 25, 29):
@@ -88,7 +91,7 @@ class TestPair:
 
     def test_bad_lambda_rejected(self):
         with pytest.raises(BadLambda):
-            grs_code_pair(grs_plan(13), 12)  # order 2, need order 4
+            grs_splitting(grs_plan(13), 12)  # order 2, need order 4
 
     def test_small_instance_reproduces_the_factorization(self):
         plan = grs_plan(5)
@@ -109,7 +112,7 @@ class TestPair:
         # exhaustion is out of reach, but the consecutive-root bound
         # already certifies the Singleton distance
         plan = grs_plan(q)
-        c1, c2 = grs_code_pair(plan)
+        c1, c2 = grs_splitting(plan).codes()
         expected = (q + 5) // 2
         assert distance_lower_bound(c1) == expected
         assert distance_lower_bound(c2) == expected
@@ -118,33 +121,42 @@ class TestPair:
 
 
 class TestOracle:
+    """The GRS evaluation-code oracle on the plan's splitting."""
+
     @pytest.mark.parametrize("q", [5, 13])
     def test_true_on_worked_sizes(self, q):
-        assert grs_oracle_check(grs_plan(q))
+        plan = grs_plan(q)
+        assert oracles.grs_evaluation_check(plan, grs_splitting(plan).setting)
 
     @pytest.mark.parametrize("q", [5, 13])
     def test_perturbed_twist_fails(self, q):
         plan = grs_plan(q)
-        assert not grs_oracle_check(plan, z_override=plan.z + 1)
+        setting = grs_splitting(plan).setting
+        assert not oracles.grs_evaluation_check(plan, setting, z=plan.z + 1)
 
 
 class TestIsMds:
+    """Distances against the Singleton bound n - k + 1."""
+
     def test_worked_f4_code_is_not_mds(self):
         st = make_setting(4, 21, 2)
         code = ConstaCode(
             IndexSet(st, 1, (1, 4, 10, 13, 16, 19, 34, 40, 52))
         )
         # exact distance 8 from exhaustive search, Singleton needs 13
-        assert min_distance(code) == 8
-        assert not is_mds(code)
+        assert min_distance(code) == 8 < singleton(code) == 13
 
     def test_zero_code_not_mds(self):
         st = make_setting(5, 6, 2)
-        assert not is_mds(ConstaCode(IndexSet(st, 1, ())))
+        zero = ConstaCode(IndexSet(st, 1, ()))
+        assert oracles.min_distance_bruteforce(zero) == float("inf")
+        assert min_distance(zero) != singleton(zero)
 
     def test_whole_algebra_is_mds(self):
         st = make_setting(5, 6, 2)
-        assert is_mds(ConstaCode(IndexSet(st, 1, st.p_set(1))))
+        whole = ConstaCode(IndexSet(st, 1, st.p_set(1)))
+        assert oracles.min_distance_bruteforce(whole) == 1 == singleton(whole)
+        assert min_distance(whole) == 1
 
 
 class TestReport:
