@@ -5,7 +5,7 @@ multiplier splittings of constacyclic index sets, the codes they
 define, their isometries and duals, and the length-(q+1) MDS family.
 """
 
-from .arith import CosetPartition, cosets_of, nu2, orbits_on_cosets
+from .arith import nu2
 from .codes import (
     CodeSetting,
     ConstaCode,
@@ -34,7 +34,6 @@ from .duadic import (
     exists_type2,
     is_iso_orthogonal,
     max_iso_orthogonal_dim,
-    multiplier_group,
     odd_like_pair,
     p0_set,
     verify_certificate,

@@ -19,7 +19,7 @@ from functools import cached_property, lru_cache
 from itertools import repeat
 
 from . import gf
-from .arith import MAX_MODULUS, cosets_of, factorize
+from .arith import MAX_MODULUS, factorize
 from .errors import Internal, NonUnit, NotInvariant, SettingMismatch, TooLarge
 from .gf import FieldElement, FieldSpec, Poly
 
@@ -54,7 +54,6 @@ class CodeSetting:
         self.lam = lam
         if self.nr > MAX_MODULUS:
             raise TooLarge(f"modulus n*r = {self.nr} exceeds the 2^31 cap")
-        self._cosets: dict[int, object] = {}
 
     @property
     def q(self) -> int:
@@ -104,16 +103,6 @@ class CodeSetting:
         """P_{n,lambda^t}: residues mod nr congruent to t mod r."""
         t = self.unit_check(t)
         return tuple(range(t % self.r, self.nr, self.r))
-
-    def cosets(self, t: int = 1):
-        """q-cosets partitioning P_{n,lambda^t}, cached per exponent class."""
-        t = self.unit_check(t)
-        key = t % self.r
-        part = self._cosets.get(key)
-        if part is None:
-            part = cosets_of(self.p_set(t), self.q, self.nr)
-            self._cosets[key] = part
-        return part
 
     def binomial(self, t: int = 1) -> Poly:
         """X**n - lambda**t."""
@@ -298,10 +287,6 @@ class IsometryDesc:
     tbar: int
     perm: tuple[int, ...]
     qs: tuple[int, ...]
-
-    @property
-    def scalars(self) -> tuple[int, ...]:
-        return self.scalars_for(1)
 
     def scalars_for(self, src_t: int) -> tuple[int, ...]:
         st = self.setting

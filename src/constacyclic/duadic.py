@@ -3,7 +3,8 @@
 The distinguished subset P0 (residues divisible by the r-coprime part
 of n), Type-I and Type-II splitting existence and construction,
 certificate verification, odd-like companion codes, iso-orthogonality,
-and the maximal iso-orthogonal dimension in closed form.
+and the maximal iso-orthogonal dimension in closed form, level by level
+of gcd(x, nr).
 
 Constructions are deterministic: CRT components are the least residues
 satisfying each case's order conditions, and P takes every other coset
@@ -24,11 +25,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
 from itertools import compress
 
 from . import gf
-from .arith import _mult_order, factorize, nu2, orbits_on_cosets
+from .arith import _mult_order, divisors, euler_phi, factorize, nu2
 from .codes import CodeSetting, ConstaCode, IndexSet, make_setting
 from .errors import Internal, NonUnit, NoSplitting, TooLarge
 from .gf import Poly
@@ -107,15 +107,6 @@ class ExistenceVerdict:
     exists: bool
     reason: str
     witness: Splitting | None = None
-
-
-@lru_cache(maxsize=None)
-def multiplier_group(setting: CodeSetting) -> tuple[int, ...]:
-    """G_{n,r}: units mod nr congruent to 1 mod r, sorted ascending."""
-    nr, r = setting.nr, setting.r
-    return tuple(
-        x for x in range(1 % r, nr, r) if math.gcd(x, nr) == 1
-    )
 
 
 def p0_set(setting: CodeSetting, t: int = 1) -> IndexSet:
@@ -603,20 +594,40 @@ def max_iso_orthogonal_dim(setting: CodeSetting) -> int:
     """Largest dimension over all iso-orthogonal pairs, in closed form.
 
     For each multiplier s the compatible check sets factor over the
-    s-cycles of q-cosets.  On a cycle of length L a compatible choice A
-    is disjoint from its shift by one and fixed by the shift by two, so
-    it is every other coset when L is even and empty when L is odd: a
-    cycle of cosets of size c contributes c * L / 2 or nothing.
+    s-cycles of q-cosets.  On a cycle of length L a compatible choice is
+    disjoint from its shift by one and fixed by the shift by two, so it
+    is every other coset when L is even and empty when L is odd.
+
+    The cycles are counted by level.  A member x of P_{n,lambda} has
+    gcd(x, nr) = d for a divisor d of n_r_prime; with M = nr/d, level d
+    is a coset of the units 1 mod r in Z_M^*, with phi(M)/phi(r)
+    members, on which q and s act by translation.  So every s-cycle on
+    level d has the same length L_d(s), the order of s in Z_M^*/<q>, and
+    the level gives half its members when L_d(s) is even.
+
+    With o the odd part of |G_{n,r}| = phi(nr)/phi(r), the 2-Sylow
+    component h = s**o has L_d(h) of the same parity as L_d(s) at every
+    level, and L_d(h) is a power of 2: odd exactly when h mod M lies in
+    the 2-power-order part of <q> mod M.  So s runs over those
+    components alone, gathered in one pass over G_{n,r}; no q-coset is
+    walked.
     """
-    part = setting.cosets(1)
-    best = 0
-    for s in multiplier_group(setting):
-        total = 0
-        for cycle in orbits_on_cosets(part, s):
-            if len(cycle) % 2 == 0:
-                total += sum(map(len, cycle[0::2]))
-        best = max(best, total)
-    return best
+    q, nr, r = setting.q, setting.nr, setting.r
+    size = euler_phi(nr) // euler_phi(r)
+    odd = size >> nu2(size)
+    sylow = {
+        pow(s, odd, nr) for s in range(1 % r, nr, r) if math.gcd(s, nr) == 1
+    }
+    levels = []
+    for d in divisors(setting.n_r_prime):
+        m = nr // d
+        ordq = _mult_order(q, m)
+        g = pow(q, ordq >> nu2(ordq), m)
+        q2 = {pow(g, i, m) for i in range(1 << nu2(ordq))}
+        levels.append((m, q2, euler_phi(m) // euler_phi(r) // 2))
+    return max(
+        sum(half for m, q2, half in levels if h % m not in q2) for h in sylow
+    )
 
 
 # ---------------------------------------------------------------------------

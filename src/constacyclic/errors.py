@@ -13,10 +13,6 @@ class NonUnit(ValueError):
     """Integer is not invertible modulo its modulus."""
 
 
-class NotClosed(ValueError):
-    """Set is not closed under the required multiplication."""
-
-
 class NotInvariant(ValueError):
     """Set (or polynomial) is not invariant under the required multiplier."""
 

@@ -53,7 +53,8 @@ def tower_friendly(sweep):
 def random_invariant_set(rng: random.Random, setting, t: int = 1):
     """A random union of q-cosets inside P_{n,lambda^t}."""
     from constacyclic import IndexSet
+    from oracles import cosets
 
-    chosen = [c for c in setting.cosets(t).cosets if rng.random() < 0.5]
+    chosen = [c for c in cosets(setting, t) if rng.random() < 0.5]
     elems = tuple(x for coset in chosen for x in coset)
     return IndexSet(setting, t, elems)

@@ -27,11 +27,10 @@ def p_set_reference(setting, t: int = 1) -> tuple:
 
 
 def multiplier_group_reference(setting) -> tuple:
-    """G_{n,r}: every unit mod nr congruent to 1 mod r, by filtering."""
+    """G_{n,r}: every unit mod nr congruent to 1 mod r, by filtering the
+    class of 1 mod r."""
     nr, r = setting.nr, setting.r
-    return tuple(
-        x for x in range(nr) if math.gcd(x, nr) == 1 and x % r == 1 % r
-    )
+    return tuple(x for x in range(1 % r, nr, r) if math.gcd(x, nr) == 1)
 
 
 def coset_index(setting, elems) -> dict:
@@ -50,6 +49,12 @@ def coset_index(setting, elems) -> dict:
         for y in coset:
             index[y] = coset
     return index
+
+
+def cosets(setting, t: int = 1) -> list:
+    """The q-cosets of P_{n,lambda^t}, each sorted, listed by ascending
+    least residue."""
+    return sorted(set(coset_index(setting, p_set_reference(setting, t)).values()))
 
 
 def rep_cycles(setting, s: int, index: dict) -> list:
@@ -175,6 +180,37 @@ def type2_exists_bruteforce(setting) -> bool:
     return any(
         _splittable_by(setting, s, outside)
         for s in multiplier_group_reference(setting)
+    )
+
+
+def type2_exists_by_levels(setting) -> bool:
+    """Type-II existence from the gcd levels of P alone: some s in G_{n,r}
+    makes every s-cycle of q-cosets even on each level d = gcd(x, nr)
+    other than P0's level n_r'.
+
+    Level d is acted on by translation in the units mod M = nr/d, so its
+    cycles have one length L_d(s): the order of s modulo <q> mod M.  For
+    odd o, L_d(s) and L_d(s**o) have the same 2-part; with o the odd part
+    of |G_{n,r}|, s**o has 2-power order, so L_d(s**o) is a power of 2
+    and is even exactly when s**o mod M lies outside <q> mod M.
+    """
+    nr, q, npp = setting.nr, setting.q, setting.n_r_prime
+    group = multiplier_group_reference(setting)
+    o = len(group)
+    while o % 2 == 0:
+        o //= 2
+    q_powers = []
+    for d in range(1, npp):
+        if npp % d == 0:
+            m = nr // d
+            seen, y = set(), 1 % m
+            while y not in seen:
+                seen.add(y)
+                y = y * q % m
+            q_powers.append((m, seen))
+    return any(
+        all(h % m not in seen for m, seen in q_powers)
+        for h in {pow(s, o, nr) for s in group}
     )
 
 

@@ -28,7 +28,6 @@ from constacyclic import (
     make_setting,
     max_iso_orthogonal_dim,
     min_distance,
-    orbits_on_cosets,
     p0_set,
     poly_to_text,
     verify_splitting,
@@ -48,13 +47,13 @@ def test_criterion_01_small_worked_example():
     st = make_setting(5, 6, 2)
     factors = {
         poly_to_text(ConstaCode(IndexSet(st, 1, coset)).check_poly)
-        for coset in st.cosets(1).cosets
+        for coset in oracles.cosets(st)
     }
     ok = factors == {"2 0 1", "2 1 1", "2 4 1"}  # X^2-3, X^2+X+2, X^2-X+2
     ok &= p0_set(st).elems == (9, 21)
     plus = next(
         ConstaCode(IndexSet(st, 1, c))
-        for c in st.cosets(1).cosets
+        for c in oracles.cosets(st)
         if poly_to_text(ConstaCode(IndexSet(st, 1, c)).check_poly) == "2 1 1"
     )
     image = apply_isometry(isometry(st, 13), plus)
@@ -67,7 +66,7 @@ def test_criterion_01_small_worked_example():
 def test_criterion_02_worked_example_len14():
     t0 = time.time()
     st = make_setting(13, 14, 5)
-    part = st.cosets(1)
+    index = oracles.coset_index(st, oracles.p_set_reference(st))
     expected_cosets = {
         (21, 49),
         (1, 13),
@@ -77,14 +76,10 @@ def test_criterion_02_worked_example_len14():
         (29, 41),
         (33, 37),
     }
-    ok = set(part.cosets) == expected_cosets
-    orbits = orbits_on_cosets(part, 29)
-    ok &= set(orbits) == {
-        ((21, 49),),
-        ((1, 13), (29, 41)),
-        ((5, 9), (33, 37)),
-        ((17, 53), (25, 45)),
-    }
+    ok = set(index.values()) == expected_cosets
+    # each cycle as the walk of its cosets' least residues under s = 29
+    walks = oracles.rep_cycles(st, 29, index)
+    ok &= set(walks) == {(21,), (1, 29), (5, 33), (17, 25)}
     p = (25, 29, 33, 37, 41, 45)
     sp = Splitting(
         st,
@@ -115,7 +110,7 @@ def test_criterion_03_worked_example_len21():
         (31, 55, 61),
         (43, 46, 58),
     }
-    ok = set(st.cosets(1).cosets) == expected_cosets
+    ok = set(oracles.cosets(st)) == expected_cosets
     verdict = exists_type2(st, with_witness=False)
     ok &= verdict.exists and verdict.reason == "odd-square"
     p = (1, 4, 10, 13, 16, 19, 34, 40, 52)

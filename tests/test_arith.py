@@ -4,11 +4,12 @@ from types import SimpleNamespace
 
 import pytest
 
-from constacyclic import cosets_of, nu2, orbits_on_cosets
+from constacyclic import make_setting, nu2
 from constacyclic.arith import _mult_order, divisors, euler_phi, factorize
 from constacyclic.duadic import _compose_multiplier
-from constacyclic.errors import NonUnit, NotClosed, NotInvariant
+from constacyclic.errors import NonUnit
 
+import oracles
 from conftest import sweep_settings
 
 
@@ -112,133 +113,108 @@ class TestCrt:
                 assert s % w == (r_side if r % p == 0 else odd[w]) % w, (nr, r, w)
 
 
-def _p_set(n, r, t=1):
-    return tuple(range(t % r, n * r, r)) if r > 1 else tuple(range(n))
+def _level_modulus(st, x):
+    """M = nr/d for the level d = gcd(x, nr) of a member x of P."""
+    return st.nr // math.gcd(x, st.nr)
+
+
+def _order_mod_q(s, q, m):
+    """Order of s in Z_m^*/<q>, by walking powers of s until one is a
+    power of q."""
+    q_powers, y = set(), 1 % m
+    while y not in q_powers:
+        q_powers.add(y)
+        y = y * q % m
+    k, y = 1, s % m
+    while y not in q_powers:
+        y = y * s % m
+        k += 1
+    return k
 
 
 class TestCosets:
+    """The q-cosets of P_{n,lambda} as the oracle walks them, and the gcd
+    levels max_iso_orthogonal_dim counts them by."""
+
     def test_golden_56(self):
-        part = cosets_of(_p_set(14, 4), 13, 56)
-        assert (21, 49) in part.cosets
-        assert (1, 13) in part.cosets
-        assert len(part.cosets) == 7
+        cosets = oracles.cosets(make_setting(13, 14, 5))
+        assert (21, 49) in cosets
+        assert (1, 13) in cosets
+        assert len(cosets) == 7
         # sorted by canonical representative
-        assert [c[0] for c in part.cosets] == sorted(c[0] for c in part.cosets)
+        assert [c[0] for c in cosets] == sorted(c[0] for c in cosets)
 
     def test_golden_63(self):
-        part = cosets_of(_p_set(21, 3), 4, 63)
-        assert (7, 28, 49) in part.cosets
-        assert (1, 4, 16) in part.cosets
-        assert len(part.cosets) == 7
+        cosets = oracles.cosets(make_setting(4, 21, 2))
+        assert (7, 28, 49) in cosets
+        assert (1, 4, 16) in cosets
+        assert len(cosets) == 7
 
     def test_singleton(self):
-        part = cosets_of((0,), 5, 7)
-        assert part.cosets == ((0,),)
+        assert oracles.cosets(make_setting(5, 1, 1)) == [(0,)]
 
     def test_partition_invariants(self):
-        rng = random.Random(3)
-        for _ in range(50):
-            m = rng.randrange(2, 200)
-            units = [g for g in range(1, m) if math.gcd(g, m) == 1]
-            g = rng.choice(units)
-            part = cosets_of(range(m), g, m)
-            everything = [x for c in part.cosets for x in c]
-            assert sorted(everything) == list(range(m))
-            for c in part.cosets:
-                assert {(x * g) % m for x in c} == set(c)
-
-    def test_not_closed(self):
-        with pytest.raises(NotClosed):
-            cosets_of((1, 2), 3, 7)
-
-    def test_random_subsets_match_orbit_reference(self):
-        """Closed sets split into full orbits; others name the least escapee."""
-        rng = random.Random(21)
-        closed_seen = open_seen = 0
-        for _ in range(300):
-            m = rng.randrange(2, 150)
-            units = [g for g in range(1, m) if math.gcd(g, m) == 1]
-            g = rng.choice(units)
-            orbit_of = {}
-            for x in range(m):
-                orb, y = {x}, (x * g) % m
-                while y != x:
-                    orb.add(y)
-                    y = (y * g) % m
-                orbit_of[x] = tuple(sorted(orb))
-            starts = rng.sample(range(m), rng.randrange(1, min(m, 6) + 1))
-            amb = {y for x in starts for y in orbit_of[x]}
-            if rng.random() < 0.5:
-                for x in rng.sample(sorted(amb), min(len(amb), 3)):
-                    amb.discard(x)
-            escapees = [x for x in sorted(amb) if (x * g) % m not in amb]
-            if escapees:
-                open_seen += 1
-                with pytest.raises(NotClosed, match=rf"^{escapees[0]}\*{g} "):
-                    cosets_of(amb, g, m)
-                continue
-            closed_seen += 1
-            part = cosets_of(amb, g, m)
-            assert part.cosets == tuple(sorted({orbit_of[x] for x in amb}))
-        assert closed_seen > 50 and open_seen > 50
-
-    def test_nonunit_generator(self):
-        with pytest.raises(NonUnit):
-            cosets_of(range(6), 2, 6)
+        """The cosets partition P, each is q-closed and lies on one level
+        d | n_r', its size is the order of q mod nr/d, and level d has
+        phi(nr/d)/phi(r) members."""
+        for st in sweep_settings(16, 30)[::3]:
+            nr, q, r = st.nr, st.q, st.r
+            cosets = oracles.cosets(st)
+            assert sorted(x for c in cosets for x in c) == list(st.p_set(1))
+            level_sizes = {}
+            for c in cosets:
+                assert {(x * q) % nr for x in c} == set(c)
+                m = _level_modulus(st, c[0])
+                assert {_level_modulus(st, x) for x in c} == {m}
+                assert len(c) == _mult_order(q, m)
+                level_sizes[nr // m] = level_sizes.get(nr // m, 0) + len(c)
+            assert level_sizes == {
+                d: euler_phi(nr // d) // euler_phi(r)
+                for d in divisors(st.n_r_prime)
+            }, st
 
 
 class TestOrbits:
+    """Cycles of a multiplier on the q-cosets, as representative walks."""
+
     def test_golden_example_orbits(self):
-        part = cosets_of(_p_set(14, 4), 13, 56)
-        orbs = orbits_on_cosets(part, 29)
-        assert orbs == (
-            ((1, 13), (29, 41)),
-            ((5, 9), (33, 37)),
-            ((17, 53), (25, 45)),
-            ((21, 49),),
-        )
-        part = cosets_of(_p_set(21, 3), 4, 63)
-        orbs = orbits_on_cosets(part, 55)
-        assert orbs == (
-            ((1, 4, 16), (31, 55, 61)),
-            ((7, 28, 49),),
-            ((10, 34, 40), (43, 46, 58)),
-            ((13, 19, 52), (22, 25, 37)),
-        )
+        st = make_setting(13, 14, 5)
+        index = oracles.coset_index(st, st.p_set(1))
+        assert oracles.rep_cycles(st, 29, index) == [
+            (1, 29), (5, 33), (17, 25), (21,),
+        ]
+        st = make_setting(4, 21, 2)
+        index = oracles.coset_index(st, st.p_set(1))
+        assert oracles.rep_cycles(st, 55, index) == [
+            (1, 31), (7,), (10, 43), (13, 22),
+        ]
 
     def test_golden_cycles_are_swapped_by_multiplier(self):
-        part = cosets_of(tuple(x for x in _p_set(14, 4) if x % 7 != 0), 13, 56)
-        cycles = orbits_on_cosets(part, 29)
-        assert [c[0] for cycle in cycles for c in cycle[0::2]] == [1, 5, 17]
+        st = make_setting(13, 14, 5)
+        index = oracles.coset_index(st, [x for x in st.p_set(1) if x % 7 != 0])
+        cycles = oracles.rep_cycles(st, 29, index)
+        assert [rep for cycle in cycles for rep in cycle[0::2]] == [1, 5, 17]
         # multiplying the even-position cosets by s gives the odd-position ones
         for cycle in cycles:
             for a, b in zip(cycle[0::2], cycle[1::2]):
-                assert tuple(sorted((29 * x) % 56 for x in a)) == b
+                assert tuple(sorted((29 * x) % 56 for x in index[a])) == index[b]
 
     def test_identity_multiplier(self):
-        part = cosets_of(_p_set(14, 4), 13, 56)
-        orbs = orbits_on_cosets(part, 1)
-        assert orbs == tuple((c,) for c in part.cosets)
+        st = make_setting(13, 14, 5)
+        index = oracles.coset_index(st, st.p_set(1))
+        assert oracles.rep_cycles(st, 1, index) == [
+            (c[0],) for c in oracles.cosets(st)
+        ]
 
     def test_orbit_length_divides_multiplier_order(self):
+        """Every s-cycle on level d has the length L_d(s), the order of s in
+        Z_M^*/<q> with M = nr/d, which divides the order of s mod nr."""
         rng = random.Random(9)
-        for _ in range(40):
-            m = rng.randrange(3, 120)
-            units = [g for g in range(1, m) if math.gcd(g, m) == 1]
-            part = cosets_of(range(m), rng.choice(units), m)
-            s = rng.choice(units)
-            cycles = orbits_on_cosets(part, s)
-            assert sorted(c for cycle in cycles for c in cycle) == sorted(
-                part.cosets
-            )
-            for cycle in cycles:
-                assert _mult_order(s, m) % len(cycle) == 0
-                for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-                    assert {(s * x) % m for x in a} == set(b)
-
-    def test_not_invariant(self):
-        part = cosets_of((1, 5, 9, 13, 17, 21), 5, 24)
-        with pytest.raises(
-            NotInvariant, match=r"^7 does not fix the ambient set mod 24$"
-        ):
-            orbits_on_cosets(part, 7)
+        for st in rng.sample(sweep_settings(16, 30), 80):
+            index = oracles.coset_index(st, st.p_set(1))
+            group = oracles.multiplier_group_reference(st)
+            for s in rng.sample(group, min(len(group), 4)):
+                for cycle in oracles.rep_cycles(st, s, index):
+                    m = _level_modulus(st, cycle[0])
+                    assert len(cycle) == _order_mod_q(s, st.q, m), (st, s)
+                    assert _mult_order(s, st.nr) % len(cycle) == 0

@@ -175,7 +175,7 @@ class TestIsometry:
     def test_identity(self, st5):
         iso = isometry(st5, 1)
         assert iso.perm == tuple(range(6))
-        assert iso.scalars == (1,) * 6
+        assert iso.scalars_for(1) == (1,) * 6
 
     def test_minus_one_formula(self, st5):
         iso = isometry(st5, -1)
@@ -196,7 +196,7 @@ class TestIsometry:
         qs2 = tuple((tbar2 * i) // st13.n for i in range(st13.n))
         scal2 = tuple(st13.lam_power(29 * qi) for qi in qs2)
         assert perm2 == iso.perm
-        assert scal2 == iso.scalars
+        assert scal2 == iso.scalars_for(1)
 
     def test_nonunit_rejected(self, st5):
         with pytest.raises(NonUnit):
@@ -326,16 +326,19 @@ class TestAnnihilatorAndDual:
 
     def test_self_orthogonality_characterization(self, sweep):
         # over every small setting, a nonzero code is orthogonal to itself
-        # exactly when lambda is +-1 and the check set misses its negation
+        # exactly when lambda is +-1 and the check set misses its negation.
+        # The spanning words X^i g (i < k) are shifts of g that do not wrap,
+        # so the pair (i, j) has inner product sum_a g_a g_{a+|i-j|}: the k
+        # lag correlations of g decide all k^2 pairs.
         checked = 0
         for st in sweep:
-            if st.nr > 40 or len(st.cosets(1).cosets) > 10:
+            cosets = oracles.cosets(st)
+            if st.nr > 40 or len(cosets) > 10:
                 continue
             try:
                 st.tower
             except TooLarge:
                 continue
-            cosets = st.cosets(1).cosets
             for mask in range(1, 1 << len(cosets)):
                 elems = tuple(
                     x
@@ -346,11 +349,10 @@ class TestAnnihilatorAndDual:
                 code = ConstaCode(IndexSet(st, 1, elems))
                 p = set(elems)
                 predicted = st.r <= 2 and not (p & {(-x) % st.nr for x in p})
-                ws = oracles.spanning_words(code)
+                g = code.gen_poly.coeffs
                 actual = all(
-                    oracles.inner_product(st.field, a, b) == 0
-                    for a in ws
-                    for b in ws
+                    oracles.inner_product(st.field, g[: len(g) - lag], g[lag:]) == 0
+                    for lag in range(code.dim)
                 )
                 assert actual == predicted, (st, elems)
                 checked += 1

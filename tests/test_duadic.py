@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -21,7 +22,6 @@ from constacyclic import (
     is_iso_orthogonal,
     make_setting,
     max_iso_orthogonal_dim,
-    multiplier_group,
     odd_like_pair,
     p0_set,
     poly_from_root_set,
@@ -73,19 +73,24 @@ def worked_splitting_len21(st4):
 
 
 class TestMultiplierGroup:
+    """G_{n,r} as the oracles enumerate it."""
+
     def test_golden_sets(self, st5, st4):
-        assert multiplier_group(st5) == (1, 5, 13, 17)
-        assert 55 in multiplier_group(st4)
+        assert oracles.multiplier_group_reference(st5) == (1, 5, 13, 17)
+        assert 55 in oracles.multiplier_group_reference(st4)
 
     def test_cyclic_case_is_unit_group(self):
         st = make_setting(2, 9, 1)
         units = tuple(x for x in range(9) if math.gcd(x, 9) == 1)
-        assert multiplier_group(st) == units
+        assert oracles.multiplier_group_reference(st) == units
 
     def test_cardinality(self, sweep):
+        # phi(nr)/phi(r) is the order whose odd part max_iso_orthogonal_dim
+        # raises each multiplier to
         for st in sweep[::7]:
-            g = multiplier_group(st)
+            g = oracles.multiplier_group_reference(st)
             assert len(g) == st.n_r * euler_phi(st.n_r_prime)
+            assert len(g) == euler_phi(st.nr) // euler_phi(st.r)
 
 
 class TestP0:
@@ -111,7 +116,7 @@ class TestP0:
             p0 = p0_set(st)
             assert len(p0.elems) == st.n_r
             nr = st.nr
-            for s in multiplier_group(st)[:6]:
+            for s in oracles.multiplier_group_reference(st)[:6]:
                 assert {(s * x) % nr for x in p0.elems} == set(p0.elems)
 
 
@@ -207,6 +212,29 @@ class TestOracleAgreement:
     def test_type1_full_sweep(self, sweep):
         for st in sweep:
             assert exists_type1(st) == oracles.type1_exists_bruteforce(st), st
+
+    def test_type2_by_levels_sweep60(self):
+        settings = sweep_settings(16, 60)
+        assert len(settings) == 1418
+        for st in settings:
+            got = exists_type2(st, with_witness=False).exists
+            assert got == oracles.type2_exists_by_levels(st), st
+
+    def test_type2_by_levels_random_large(self):
+        """Seeded (q, n, lambda) with n up to 10^4, out of the brute-force
+        oracle's reach, over every nonzero lambda rather than one per order."""
+        rng = random.Random(2015)
+        seen = set()
+        for _ in range(100):
+            q = rng.choice((2, 3, 4, 5, 7, 8, 9, 11, 13, 16))
+            n = rng.randrange(1, 10**4 + 1)
+            while math.gcd(n, q) != 1:
+                n = rng.randrange(1, 10**4 + 1)
+            st = make_setting(q, n, rng.randrange(1, q))
+            got = exists_type2(st, with_witness=False).exists
+            assert got == oracles.type2_exists_by_levels(st), st
+            seen.add(got)
+        assert seen == {True, False}
 
 
 class TestConstruction:
@@ -664,6 +692,24 @@ class TestMaxIsoOrthogonalDim:
 
     def test_search_only_setting(self):
         assert max_iso_orthogonal_dim(make_setting(2, 5, 1)) == 0
+
+    def test_large_cases_pinned(self):
+        """Values recorded from the coset walk, which is quadratic in n
+        (seconds at the first two lengths); the level formula takes
+        milliseconds.  The first two reach (n - n_r)/2, the most any
+        level sum can give; the last two lie below it, so pricing a level
+        whose cycles are odd shows."""
+        cases = [
+            ((2, 4001, 1), 2000),
+            ((4, 4095, 1), 2047),
+            ((2, 3065, 1), 1224),
+            ((5, 1017, 2), 448),
+        ]
+        for args, want in cases:
+            st = make_setting(*args)
+            t0 = time.perf_counter()
+            assert max_iso_orthogonal_dim(st) == want, args
+            assert time.perf_counter() - t0 < 0.5, args
 
     def test_matches_type2_dimension(self, sweep60_witnesses):
         checked = set()
