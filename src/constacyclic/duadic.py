@@ -17,7 +17,8 @@ Splittings are built and checked on P_{n,lambda^t} by index: a member
 x is t mod r, so i = x // r is exact and runs over [0, n).  One
 bytearray(n) then labels every member P, sP or P0, and P and sP are
 read out of it already sorted.  Witnesses and certificates are refused
-above MAX_WITNESS_LENGTH, before anything of size n is allocated.
+above MAX_WITNESS_LENGTH, before anything of size n is allocated.  Each
+built Type-II splitting is verified once, in full, by self_checked.
 """
 
 from __future__ import annotations
@@ -59,10 +60,10 @@ class SplittingKind(str, Enum):
 class Splitting:
     """A certified multiplier splitting (s, P, sP) of P_{n,lambda^t}.
 
-    set_checks is the set-check transcript construct_type2 made for
-    this splitting.  It takes no part in equality, and neither the
-    constructor nor dataclasses.replace can set it, so a hand-made or
-    edited splitting never carries a transcript of other sets.
+    transcript is the passing verify_splitting result self_checked
+    attached to a splitting the library built.  It takes no part in
+    equality, and neither the constructor nor dataclasses.replace can set
+    it, so a hand-made or edited splitting never carries one.
     """
 
     setting: CodeSetting
@@ -71,7 +72,7 @@ class Splitting:
     p: IndexSet
     sp: IndexSet
     kind: SplittingKind
-    set_checks: VerifyResult | None = field(
+    transcript: VerifyResult | None = field(
         default=None, init=False, compare=False, repr=False
     )
 
@@ -88,9 +89,16 @@ class CheckEntry:
 
 @dataclass(frozen=True)
 class VerifyResult:
-    ok: bool
     checks: tuple[CheckEntry, ...]
-    first_failure: str | None = None
+
+    @property
+    def first_failure(self) -> str | None:
+        failed = (c.name for c in self.checks if not (c.passed or c.skipped))
+        return next(failed, None)
+
+    @property
+    def ok(self) -> bool:
+        return self.first_failure is None
 
     def as_json(self) -> list[dict]:
         out = []
@@ -166,8 +174,8 @@ def _exists_reason(setting: CodeSetting) -> str | None:
 def exists_type2(setting: CodeSetting, *, with_witness: bool = True) -> ExistenceVerdict:
     """Existence verdict for Type-II splittings, with a certified witness.
 
-    The witness comes from construct_type2, which has already run the
-    set checks once; it carries their transcript for certificate().
+    The witness comes from construct_type2, which has already run every
+    check once; it carries their transcript for certificate().
     """
     reason = _exists_reason(setting)
     if reason is None:
@@ -314,12 +322,8 @@ def _type1_multiplier(setting: CodeSetting) -> int:
     if s0 is None:
         raise Internal("even quotient without an order-2 class")
     return _compose_multiplier(
-        setting, s0, {w: 1 for w in _odd_prime_powers(setting)}
+        setting, s0, {p**v: 1 for p, v in factorize(setting.n_r_prime)}
     )
-
-
-def _odd_prime_powers(setting: CodeSetting) -> list[int]:
-    return [p**v for p, v in factorize(setting.n_r_prime)]
 
 
 def _every_other_coset(setting, s, kind) -> Splitting:
@@ -373,10 +377,9 @@ def construct_type2(setting: CodeSetting) -> Splitting:
     P0.  On a Type-I setting s is the Type-I multiplier, and P is the
     Type-I P without P0, which is a union of whole s-cycles.
 
-    The set checks run once, here; a failure raises Internal.  The
-    splitting carries their transcript as set_checks, so certificate()
-    adds only the factor-product identity.  Raises TooLarge when n
-    exceeds MAX_WITNESS_LENGTH.
+    Every check runs once, here, through self_checked; a failure raises
+    Internal, and certificate() reuses the transcript.  Raises TooLarge
+    when n exceeds MAX_WITNESS_LENGTH.
     """
     _check_witness_length(setting.n)
     reason = _exists_reason(setting)
@@ -388,47 +391,49 @@ def construct_type2(setting: CodeSetting) -> Splitting:
         s = _compose_multiplier(setting, 1, _even_case_components(setting))
     else:
         s = _compose_multiplier(setting, 1, _odd_case_components(setting))
-    out = _every_other_coset(setting, s, SplittingKind.TYPE_II)
-    res = verify_splitting(out, algebraic=False)
+    return self_checked(_every_other_coset(setting, s, SplittingKind.TYPE_II))
+
+
+def self_checked(sp: Splitting) -> Splitting:
+    """sp with its verify_splitting transcript attached; a built splitting
+    that fails a check raises Internal naming the first failed check."""
+    res = verify_splitting(sp)
     if not res.ok:
-        raise Internal(f"constructed splitting failed check {res.first_failure}")
-    object.__setattr__(out, "set_checks", res)
-    return out
+        raise Internal(f"built splitting failed check {res.first_failure}")
+    object.__setattr__(sp, "transcript", res)
+    return sp
 
 
 # ---------------------------------------------------------------------------
 # verification
 
 
-def verify_splitting(sp: Splitting, algebraic="auto") -> VerifyResult:
+def verify_splitting(sp: Splitting) -> VerifyResult:
     """Re-prove every splitting invariant, set-wise and polynomially.
 
-    algebraic may be True (always multiply the factor polynomials),
-    False (set checks only), or "auto" (multiply when the required
-    extension field fits the size cap, otherwise record a skip).  Every
-    check runs, whatever transcript the splitting carries.  Raises
-    TooLarge when n exceeds MAX_WITNESS_LENGTH.
+    The set checks run first, then the factor-product identity, which
+    is recorded as skipped when a set check failed or the extension
+    field it needs exceeds the size cap.  Every check runs, whatever
+    transcript the splitting carries.  Raises TooLarge when n exceeds
+    MAX_WITNESS_LENGTH.
     """
-    return _verify(
-        sp.setting, sp.t, sp.s, sp.p.elems, sp.sp.elems, sp.kind, algebraic
+    return VerifyResult(
+        tuple(_verify(sp.setting, sp.t, sp.s, sp.p.elems, sp.sp.elems, sp.kind))
     )
 
 
 _FACTOR_CHECK = "factor-product-identity"
 
 
-def _verify(setting, t, s, p_elems, sp_elems, kind, algebraic) -> VerifyResult:
+def _verify(setting, t, s, p_elems, sp_elems, kind) -> list[CheckEntry]:
     _check_witness_length(setting.n)
-    checks, p, sps, p0 = _set_checks(setting, t, s, p_elems, sp_elems, kind)
-    set_ok = all(c.passed for c in checks)
-    checks.append(
-        _factor_check(setting, t, p, sps, p0, kind, algebraic, set_ok)
-    )
-    return _transcript(checks)
+    checks = _set_checks(setting, t, s, p_elems, sp_elems, kind)
+    ok = all(c.passed for c in checks)
+    return checks + [_factor_check(setting, t, p_elems, sp_elems, kind, ok)]
 
 
 def _set_checks(setting, t, s, p_elems, sp_elems, kind):
-    """The set-level checks in transcript order, with P, sP and P0.
+    """The set-level checks, as CheckEntry values in transcript order.
 
     A residue reduced mod nr lies in P_{n,lambda^t} exactly when it is
     congruent to t mod r.  Residues of that class are labelled by index
@@ -483,8 +488,8 @@ def _set_checks(setting, t, s, p_elems, sp_elems, kind):
                 other.add(y)
         return img, other
 
-    p0 = _p0_range(setting, t) if unit else range(0)
     if kind == SplittingKind.TYPE_II and unit:
+        p0 = _p0_range(setting, t)
         lab[p0.start // r :: p0.step // r] = bytes([_P0]) * len(p0)
     fp = mark(p_elems, _P)
     fsp = mark(sp_elems, _SP)
@@ -512,29 +517,25 @@ def _set_checks(setting, t, s, p_elems, sp_elems, kind):
         not fp and not fsp and lab.count(0) == (0 if unit else n),
     )
     add("s-squared-fixes-p", image(s * s % nr, p_elems, _P, fp) == (p_bits, fp))
-    return checks, p_elems, sp_elems, p0
+    return checks
 
 
-def _factor_check(setting, t, p, sps, p0, kind, algebraic, set_ok) -> CheckEntry:
-    """The factor-product-identity entry: f_P * f_sP (* f_P0) = X^n - lambda^t."""
-    if algebraic is False or not set_ok:
-        return CheckEntry(_FACTOR_CHECK, set_ok, skipped=True)
+def _factor_check(setting, t, p, sps, kind, set_ok) -> CheckEntry:
+    """The factor-product-identity entry: f_P * f_sP (* f_P0) = X^n - lambda^t.
+
+    It runs only once every set check passed, t-unit among them.
+    """
+    if not set_ok:
+        return CheckEntry(_FACTOR_CHECK, False, skipped=True)
     try:
         tower = setting.tower
     except TooLarge:
-        if algebraic != "auto":
-            raise
         return CheckEntry(_FACTOR_CHECK, True, skipped=True)
     prod = gf.poly_from_root_set(tower, p)
     prod = prod * gf.poly_from_root_set(tower, sps)
     if kind == SplittingKind.TYPE_II:
-        prod = prod * gf.poly_from_root_set(tower, p0)
+        prod = prod * gf.poly_from_root_set(tower, _p0_range(setting, t))
     return CheckEntry(_FACTOR_CHECK, prod == setting.binomial(t))
-
-
-def _transcript(checks) -> VerifyResult:
-    failed = [c.name for c in checks if not c.skipped and not c.passed]
-    return VerifyResult(not failed, tuple(checks), failed[0] if failed else None)
 
 
 # ---------------------------------------------------------------------------
@@ -610,8 +611,10 @@ def max_iso_orthogonal_dim(setting: CodeSetting) -> int:
     level, and L_d(h) is a power of 2: odd exactly when h mod M lies in
     the 2-power-order part of <q> mod M.  So s runs over those
     components alone, gathered in one pass over G_{n,r}; no q-coset is
-    walked.
+    walked.  That pass is linear in n, so it raises TooLarge when n
+    exceeds MAX_WITNESS_LENGTH.
     """
+    _check_witness_length(setting.n)
     q, nr, r = setting.q, setting.nr, setting.r
     size = euler_phi(nr) // euler_phi(r)
     odd = size >> nu2(size)
@@ -634,25 +637,15 @@ def max_iso_orthogonal_dim(setting: CodeSetting) -> int:
 # certificates
 
 
-def certificate(sp: Splitting, result: VerifyResult | None = None) -> dict:
+def certificate(sp: Splitting) -> dict:
     """JSON-ready splitting certificate with its verification transcript.
 
-    A splitting from construct_type2 reuses the set checks it carries
-    and only adds the factor-product identity (skipped, as in
-    verify_splitting, when the tower exceeds the size cap).  Any other
-    splitting is verified in full.
+    A splitting the library built carries the transcript of its
+    self-check, which is reused; any other splitting is verified here.
     """
     st = sp.setting
     p0 = p0_set(st, sp.t)
-    if result is None and sp.set_checks is None:
-        result = verify_splitting(sp)
-    elif result is None:
-        carried = sp.set_checks
-        checks = [c for c in carried.checks if c.name != _FACTOR_CHECK]
-        checks.append(
-            _factor_check(st, sp.t, sp.p, sp.sp, p0, sp.kind, "auto", carried.ok)
-        )
-        result = _transcript(checks)
+    result = sp.transcript if sp.transcript is not None else verify_splitting(sp)
     return {
         "q": st.q,
         "n": st.n,
@@ -668,7 +661,7 @@ def certificate(sp: Splitting, result: VerifyResult | None = None) -> dict:
     }
 
 
-def verify_certificate(cert: dict, algebraic="auto") -> tuple[VerifyResult, dict]:
+def verify_certificate(cert: dict) -> tuple[VerifyResult, dict]:
     """Re-check a certificate dict; returns the verdict and a fresh transcript.
 
     Every check runs.  Raises ValueError when the certificate is not a
@@ -705,14 +698,11 @@ def verify_certificate(cert: dict, algebraic="auto") -> tuple[VerifyResult, dict
     sp_elems = tuple(cert["sP"])
     p0 = sorted(cert["P0"]) if "P0" in cert else None
     r = cert.get("r")
-    res = _verify(setting, t, s, p_elems, sp_elems, kind, algebraic)
-    checks = list(res.checks)
+    checks = _verify(setting, t, s, p_elems, sp_elems, kind)
     if p0 is not None:
         actual = list(p0_set(setting, t).elems) if math.gcd(t, setting.nr) == 1 else []
         checks.append(CheckEntry("p0-matches", p0 == actual))
     if r is not None:
         checks.append(CheckEntry("r-matches", r == setting.r))
-    res = _transcript(checks)
-    fresh = dict(cert)
-    fresh["checks"] = res.as_json()
-    return res, fresh
+    res = VerifyResult(tuple(checks))
+    return res, {**cert, "checks": res.as_json()}

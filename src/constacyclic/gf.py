@@ -500,13 +500,11 @@ class FieldTower:
     X**n - lambda**t for every unit t mod nr.
     """
 
-    def __init__(self, base: FieldSpec, ext: FieldSpec, d: int, n: int,
-                 lam: int, nr: int, embed_table: tuple[int, ...], theta: int):
+    def __init__(self, base: FieldSpec, ext: FieldSpec, d: int, nr: int,
+                 embed_table: tuple[int, ...], theta: int):
         self.base = base
         self.ext = ext
         self.d = d
-        self.n = n
-        self.lam = lam
         self.nr = nr
         self._embed_table = embed_table
         self.theta = theta
@@ -570,26 +568,17 @@ class FieldTower:
         return f"FieldTower({self.base!r} in {self.ext!r}, d={self.d})"
 
 
-_TOWER_CACHE: dict[tuple, FieldTower] = {}
-
-
 def build_tower(setting) -> FieldTower:
     """Minimal extension of the setting's field holding a suitable theta.
 
-    The setting only needs .field, .n and .lam; the choice of theta is
-    the lexicographically least coordinate vector among elements of
-    order nr whose n-th power is the embedded unit.
+    The setting supplies .field, .n, .lam, .r and .nr, and caches the
+    tower as CodeSetting.tower; the choice of theta is the
+    lexicographically least coordinate vector among elements of order
+    nr whose n-th power is the embedded unit.
     """
     F: FieldSpec = setting.field
-    n: int = setting.n
-    lam = setting.lam.label if isinstance(setting.lam, FieldElement) else setting.lam
-    key = (F, n, lam)
-    cached = _TOWER_CACHE.get(key)
-    if cached is not None:
-        return cached
-
-    r = F.order_of(lam)
-    nr = n * r
+    n, r, nr = setting.n, setting.r, setting.nr
+    lam = setting.lam.label
     d = _mult_order(F.q % nr, nr) if nr > 1 else 1
     ext = make_field(F.p, F.m * d)
 
@@ -647,9 +636,7 @@ def build_tower(setting) -> FieldTower:
     if ext.order_of(theta) != nr:
         raise Internal("chosen root of unity has the wrong order")
 
-    tower = FieldTower(F, ext, d, n, lam, nr, embed_table, theta)
-    _TOWER_CACHE[key] = tower
-    return tower
+    return FieldTower(F, ext, d, nr, embed_table, theta)
 
 
 def poly_from_root_set(tower: FieldTower, root_exponents) -> Poly:

@@ -311,14 +311,28 @@ class TestVerify:
         names = [c.name for c in res.checks]
         assert "parts-cover" in names and "factor-product-identity" in names
 
+    def test_failed_self_check_raises_internal(self, st13, monkeypatch):
+        from constacyclic import duadic
+
+        real = duadic._every_other_coset
+
+        def identity_multiplier(setting, s, kind):
+            return dataclasses.replace(real(setting, s, kind), s=1)
+
+        monkeypatch.setattr(duadic, "_every_other_coset", identity_multiplier)
+        with pytest.raises(
+            Internal, match="^built splitting failed check sp-equals-s-times-p$"
+        ):
+            construct_type2(st13)
+
     def test_algebraic_skip_over_cap(self):
         st = make_setting(5, 22, 2)  # tower would need 5^10 elements
-        sp = construct_type2(st)
-        res = verify_splitting(sp, algebraic="auto")
-        entry = {c.name: c for c in res.checks}["factor-product-identity"]
-        assert res.ok and entry.skipped
         with pytest.raises(TooLarge):
-            verify_splitting(sp, algebraic=True)
+            st.tower
+        sp = construct_type2(st)
+        res = verify_splitting(sp)
+        entry = {c.name: c for c in res.checks}["factor-product-identity"]
+        assert res.ok and entry.skipped and entry.passed
 
 
 def _mutations(w):
@@ -386,36 +400,34 @@ def sweep60_witnesses():
 
 class TestVerifyOnce:
     def test_set_checks_match_reference(self, sweep60_witnesses):
-        from constacyclic.duadic import _verify
+        from constacyclic.duadic import _set_checks
 
         assert len(sweep60_witnesses) > 500
         for w in sweep60_witnesses:
             for t, s, p, sp, kind in _mutations(w):
                 want = oracles.set_check_reference(w.setting, t, s, p, sp, kind)
-                want.append(
-                    ("factor-product-identity", all(ok for _, ok in want))
+                got = _set_checks(w.setting, t, s, p, sp, kind)
+                assert [(c.name, c.passed) for c in got] == want, (
+                    w.setting, t, s, kind
                 )
-                res = _verify(w.setting, t, s, p, sp, kind, algebraic=False)
-                got = [(c.name, c.passed) for c in res.checks]
-                assert got == want, (w.setting, t, s, kind)
-                assert res.checks[-1].skipped
 
     def test_witness_carries_its_set_checks(self, sweep60_witnesses):
         for w in sweep60_witnesses:
-            assert w.set_checks == verify_splitting(w, algebraic=False)
+            assert w.transcript == verify_splitting(w), w.setting
 
     def test_certificate_reuse_matches_full_verification(self, tower_friendly):
         for st in tower_friendly:
             w = exists_type2(st).witness
             if w is None:
                 continue
-            assert w.set_checks is not None
-            assert certificate(w) == certificate(w, verify_splitting(w)), st
+            copy = dataclasses.replace(w)
+            assert w.transcript is not None and copy.transcript is None
+            assert certificate(w) == certificate(copy), st
 
     def test_certificate_reuse_records_skip_over_cap(self):
         st = make_setting(5, 22, 2)  # tower would need 5^10 elements
         w = construct_type2(st)
-        assert certificate(w) == certificate(w, verify_splitting(w))
+        assert certificate(w) == certificate(dataclasses.replace(w))
         assert certificate(w)["checks"][-1] == {
             "name": "factor-product-identity", "pass": True, "skipped": True
         }
@@ -423,7 +435,7 @@ class TestVerifyOnce:
     def test_edited_witness_is_verified_again(self, st13):
         w = construct_type2(st13)
         bad = dataclasses.replace(w, s=w.s + 1)
-        assert bad.set_checks is None
+        assert bad.transcript is None
         cert = certificate(bad)
         assert not verify_certificate(cert)[0].ok
         assert {"name": "s-in-multiplier-group", "pass": False} in cert["checks"]
@@ -523,13 +535,13 @@ class TestLargerN:
 
     @pytest.mark.parametrize("q,n,lam,reason", LARGER_N)
     def test_set_checks_match_reference(self, q, n, lam, reason):
-        from constacyclic.duadic import _verify
+        from constacyclic.duadic import _set_checks
 
         w = exists_type2(make_setting(q, n, lam)).witness
         for t, s, p, sp, kind in _mutations(w):
             want = oracles.set_check_reference(w.setting, t, s, p, sp, kind)
-            res = _verify(w.setting, t, s, p, sp, kind, algebraic=False)
-            assert [(c.name, c.passed) for c in res.checks[:-1]] == want, (
+            got = _set_checks(w.setting, t, s, p, sp, kind)
+            assert [(c.name, c.passed) for c in got] == want, (
                 t, s, kind, len(p), len(sp)
             )
 
@@ -556,10 +568,21 @@ class TestWitnessCap:
             verify_certificate(cert)
         with pytest.raises(TooLarge):
             verify_splitting(w)
+        with pytest.raises(TooLarge):
+            max_iso_orthogonal_dim(st13)
+        monkeypatch.setattr(duadic, "MAX_WITNESS_LENGTH", 14)
+        assert max_iso_orthogonal_dim(st13) == 6
         # types are checked first; the verdict alone needs no witness
         with pytest.raises(ValueError, match="not an integer"):
             verify_certificate({**cert, "s": 1.5})
         assert exists_type2(st13, with_witness=False).exists
+
+    def test_max_iso_orthogonal_dim_refused_at_once_over_the_cap(self):
+        st = make_setting(2, (1 << 22) + 1, 1)
+        t0 = time.perf_counter()
+        with pytest.raises(TooLarge, match="witness cap"):
+            max_iso_orthogonal_dim(st)
+        assert time.perf_counter() - t0 < 0.5
 
     def test_cli_refuses_over_the_cap(self, monkeypatch, capsys):
         """split refuses; exists prints the verdict alone, exit 0 when true

@@ -315,12 +315,12 @@ class TestPolyFromRootSet:
                     got = poly_from_root_set(tw, elems).coeffs
                     assert got == expected, (st, t, elems)
 
-    def test_cache_filled_from_sp_first(self, monkeypatch):
+    def test_cache_filled_from_sp_first(self):
         """A fresh tower asked for sP before P gives the reference polynomials."""
-        monkeypatch.setattr(gf, "_TOWER_CACHE", {})
         for args in [(13, 14, 5), (4, 21, 2), (3, 13, 1), (9, 20, 2)]:
             st = make_setting(*args)
             tw = gf.build_tower(st)
+            assert not tw._min_polys
             sp = construct_type2(st)
             parts = [sp.sp, sp.p, p0_set(st, sp.t)]
             polys = [poly_from_root_set(tw, part) for part in parts]

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from constacyclic import (
@@ -15,7 +17,7 @@ from constacyclic import (
     poly_to_text,
     verify_splitting,
 )
-from constacyclic.errors import BadLambda, BadQ, TooLarge
+from constacyclic.errors import BadLambda, BadQ, Internal, TooLarge
 from constacyclic.gf import poly_x_pow_minus
 
 import oracles
@@ -88,6 +90,19 @@ class TestPair:
         for q in (5, 9, 13, 17, 25, 29):
             sp = grs_splitting(grs_plan(q))
             assert verify_splitting(sp).ok
+
+    def test_splitting_carries_its_transcript(self):
+        for q in (5, 9, 13, 17):
+            sp = grs_splitting(grs_plan(q))
+            assert sp.transcript == verify_splitting(sp), q
+
+    def test_failed_self_check_raises_internal(self):
+        # s = 1 maps P onto itself, so sP = P overlaps it
+        plan = dataclasses.replace(grs_plan(13), s=1)
+        with pytest.raises(
+            Internal, match="^built splitting failed check parts-disjoint$"
+        ):
+            grs_splitting(plan)
 
     def test_bad_lambda_rejected(self):
         with pytest.raises(BadLambda):
