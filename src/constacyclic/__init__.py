@@ -44,7 +44,6 @@ from .gf import (
     FieldSpec,
     FieldTower,
     Poly,
-    build_tower,
     element_from_text,
     element_to_text,
     field_for_order,

@@ -571,10 +571,9 @@ class FieldTower:
 def build_tower(setting) -> FieldTower:
     """Minimal extension of the setting's field holding a suitable theta.
 
-    The setting supplies .field, .n, .lam, .r and .nr, and caches the
-    tower as CodeSetting.tower; the choice of theta is the
-    lexicographically least coordinate vector among elements of order
-    nr whose n-th power is the embedded unit.
+    Reached only through CodeSetting.tower, which caches it.  theta is
+    the lexicographically least coordinate vector among elements of
+    order nr whose n-th power is the embedded unit.
     """
     F: FieldSpec = setting.field
     n, r, nr = setting.n, setting.r, setting.nr

@@ -400,16 +400,21 @@ def sweep60_witnesses():
 
 class TestVerifyOnce:
     def test_set_checks_match_reference(self, sweep60_witnesses):
-        from constacyclic.duadic import _set_checks
+        from constacyclic.duadic import CheckEntry, _verify
 
+        skipped = CheckEntry("factor-product-identity", False, skipped=True)
         assert len(sweep60_witnesses) > 500
         for w in sweep60_witnesses:
             for t, s, p, sp, kind in _mutations(w):
                 want = oracles.set_check_reference(w.setting, t, s, p, sp, kind)
-                got = _set_checks(w.setting, t, s, p, sp, kind)
-                assert [(c.name, c.passed) for c in got] == want, (
+                got = _verify(w.setting, t, s, p, sp, kind)
+                assert [(c.name, c.passed) for c in got[:-1]] == want, (
                     w.setting, t, s, kind
                 )
+                if all(ok for _, ok in want):
+                    assert got[-1].passed, (w.setting, t, s, kind)
+                else:
+                    assert got[-1] == skipped, (w.setting, t, s, kind)
 
     def test_witness_carries_its_set_checks(self, sweep60_witnesses):
         for w in sweep60_witnesses:
@@ -570,12 +575,12 @@ class TestWitnessCap:
             verify_splitting(w)
         with pytest.raises(TooLarge):
             max_iso_orthogonal_dim(st13)
-        monkeypatch.setattr(duadic, "MAX_WITNESS_LENGTH", 14)
-        assert max_iso_orthogonal_dim(st13) == 6
         # types are checked first; the verdict alone needs no witness
         with pytest.raises(ValueError, match="not an integer"):
             verify_certificate({**cert, "s": 1.5})
         assert exists_type2(st13, with_witness=False).exists
+        monkeypatch.setattr(duadic, "MAX_WITNESS_LENGTH", 14)
+        assert max_iso_orthogonal_dim(st13) == 6
 
     def test_max_iso_orthogonal_dim_refused_at_once_over_the_cap(self):
         st = make_setting(2, (1 << 22) + 1, 1)
