@@ -96,11 +96,14 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.file:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            cert = json.load(fh)
-    else:
-        cert = json.load(sys.stdin)
+    try:
+        if args.file:
+            with open(args.file, "r", encoding="utf-8") as fh:
+                cert = json.load(fh)
+        else:
+            cert = json.load(sys.stdin)
+    except RecursionError:
+        raise ValueError("certificate is nested too deeply") from None
     result, fresh = duadic.verify_certificate(cert)
     _emit({"ok": result.ok, "checks": fresh["checks"]})
     return 0 if result.ok else 1

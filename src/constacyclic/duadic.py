@@ -30,15 +30,9 @@ from itertools import compress
 
 from . import gf
 from .arith import _mult_order, divisors, euler_phi, factorize, nu2
-from .codes import CodeSetting, ConstaCode, IndexSet, make_setting
+from .codes import MAX_WITNESS_LENGTH, CodeSetting, ConstaCode, IndexSet, make_setting
 from .errors import Internal, NonUnit, NoSplitting, TooLarge
 from .gf import Poly
-
-# Longest n for which a splitting is built or a certificate checked.
-# Near the cap, split --q 2 --n 4194287 --lambda 1 takes 6.7 s and 363 MB
-# peak RSS and its verify 3.1 s and 228 MB (2-core Xeon, Python 3.11);
-# time and memory grow linearly in n.
-MAX_WITNESS_LENGTH = 1 << 22
 
 # Index labels: one value each while constructing, bits while checking.
 _P, _SP, _P0 = 1, 2, 4

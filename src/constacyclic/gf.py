@@ -19,10 +19,13 @@ extension multiplications, and caches it, so over a tower's life the
 extension work is the sum of |C|**2 / 2 over the cosets ever asked for;
 each call then pays only the F_q products.  Callers that need a
 complementary pair still expand the smaller set and divide
-(codes.ConstaCode).
+(codes.ConstaCode).  A tower over a prime field, like one of degree 1,
+embeds by identity: F_p is labels 0..p-1 of every extension.
 
-Scalar arithmetic works on labels directly.  Fields of order at most
-1024 also offer numpy (add, mul) tables: mul is one gather from the
+Scalar arithmetic works on labels directly.  An odd-characteristic
+product is reduced by the modulus itself, and the field-size cap is
+decided from the degree, before any power is built.  Fields of order at
+most 1024 also offer numpy (add, mul) tables: mul is one gather from the
 field's exp/log pair over its least primitive element, add is built one
 base-p digit at a time.  Only np_tables imports numpy.
 """
@@ -48,32 +51,20 @@ MAX_FIELD_SIZE = 1 << 20
 _NP_TABLE_LIMIT = 1 << 10
 
 
-def is_prime(p: int) -> bool:
-    return p >= 2 and factorize(p) == ((p, 1),)
-
-
 # ---------------------------------------------------------------------------
 # polynomial helpers over a prime field, used only to build moduli
 
 
-def _pf_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _pf_divmod(a: list[int], b: list[int], p: int):
+def _pf_rem(a, b: tuple[int, ...], p: int) -> list[int]:
+    """Coefficients of a mod b over F_p, for monic b and a reduced mod p."""
     a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    inv = pow(lb, -1, p)
-    q = [0] * max(len(a) - db, 0)
+    db = len(b) - 1
     for i in range(len(a) - 1, db - 1, -1):
-        c = (a[i] * inv) % p
+        c = a[i]
         if c:
-            q[i - db] = c
             for j, bj in enumerate(b):
                 a[i - db + j] = (a[i - db + j] - c * bj) % p
-    return q, _pf_trim(a)
+    return a[:db]
 
 
 @lru_cache(maxsize=None)
@@ -89,7 +80,7 @@ def _irreducibles(p: int, max_deg: int) -> tuple[tuple[int, ...], ...]:
             for f in found:
                 if len(f) - 1 > d // 2:
                     break
-                if not _pf_divmod(cand, list(f), p)[1]:
+                if not any(_pf_rem(cand, f, p)):
                     reducible = True
                     break
             if not reducible:
@@ -105,7 +96,7 @@ def _least_irreducible(p: int, m: int) -> tuple[int, ...]:
     factors = _irreducibles(p, m // 2)
     for cs in _iterproduct(range(1, p), *[range(p)] * (m - 1)):
         cand = list(cs) + [1]
-        if all(_pf_divmod(cand, list(f), p)[1] for f in factors):
+        if all(any(_pf_rem(cand, f, p)) for f in factors):
             return tuple(cand)
     raise Internal(f"no irreducible of degree {m} over F_{p}")
 
@@ -126,7 +117,6 @@ class FieldSpec:
         self.m = m
         self.q = p**m
         self.modulus = modulus
-        self._order_factors = factorize(self.q - 1) if self.q > 2 else ()
         if p == 2:
             mask = 0
             for i, c in enumerate(modulus):
@@ -134,17 +124,9 @@ class FieldSpec:
                     mask |= 1 << i
             self._mask = mask
         elif m > 1:
-            # rows for X**(m+k) reduced below degree m, k = 0..m-2
-            base = [(-modulus[j]) % p for j in range(m)]
-            rows = [base]
-            for _ in range(m - 2):
-                prev = rows[-1]
-                row = [0] + prev[:m]
-                top = row.pop()
-                if top:
-                    row = [(row[j] + top * base[j]) % p for j in range(m)]
-                rows.append(row)
-            self._red = rows
+            # X**m = tail[0] + tail[1]*X + ... + tail[m-1]*X**(m-1), so mul
+            # folds c*X**i into c*tail at X**(i-m)..X**(i-1), top down
+            self._tail = [(-c) % p for c in modulus[:m]]
         self._np_tables = None
 
     # -- coordinates ------------------------------------------------------
@@ -215,12 +197,12 @@ class FieldSpec:
             if ai:
                 for j, bj in enumerate(B):
                     prod[i + j] += ai * bj
+        tail = self._tail
         for i in range(2 * m - 2, m - 1, -1):
             c = prod[i] % p
             if c:
-                row = self._red[i - m]
-                for j in range(m):
-                    prod[j] += c * row[j]
+                for j, tj in enumerate(tail, i - m):
+                    prod[j] += c * tj
         return self.from_coords(c % p for c in prod[:m])
 
     def pow(self, a: int, e: int) -> int:
@@ -249,9 +231,7 @@ class FieldSpec:
         if a == 0:
             raise DivideByZero("zero has no multiplicative order")
         k = self.q - 1
-        if k == 1:
-            return 1
-        for p, _ in self._order_factors:
+        for p, _ in factorize(k):
             while k % p == 0 and self.pow(a, k // p) == 1:
                 k //= p
         return k
@@ -318,11 +298,12 @@ class FieldSpec:
 @lru_cache(maxsize=None)
 def make_field(p: int, m: int = 1) -> FieldSpec:
     """F_{p^m} with the lexicographically least irreducible modulus."""
-    if not is_prime(p):
+    if p < 2 or factorize(p) != ((p, 1),):
         raise NotPrime(f"{p} is not prime")
     if m < 1:
         raise ValueError(f"extension degree must be positive, got {m}")
-    if p**m > MAX_FIELD_SIZE:
+    # p**21 > 2**20 for every prime, so no large power is built
+    if p ** min(m, 21) > MAX_FIELD_SIZE:
         raise TooLarge(f"field size {p}^{m} exceeds 2^20")
     modulus = (0, 1) if m == 1 else _least_irreducible(p, m)
     return FieldSpec(p, m, modulus)
@@ -345,9 +326,6 @@ class FieldElement:
 
     field: FieldSpec
     label: int
-
-    def order(self) -> int:
-        return self.field.order_of(self.label)
 
     def __repr__(self) -> str:
         return f"{element_to_text(self.field, self.label)} in {self.field!r}"
@@ -501,7 +479,7 @@ class FieldTower:
     """
 
     def __init__(self, base: FieldSpec, ext: FieldSpec, d: int, nr: int,
-                 embed_table: tuple[int, ...], theta: int):
+                 embed_table: tuple[int, ...] | None, theta: int):
         self.base = base
         self.ext = ext
         self.d = d
@@ -524,7 +502,7 @@ class FieldTower:
     def project(self, label: int) -> int | None:
         """Base-field label of an extension element, or None if outside."""
         if self._embed_table is None:
-            return label
+            return label if label < self.base.q else None
         if self._project_map is None:
             self._project_map = {
                 img: a for a, img in enumerate(self._embed_table)
@@ -582,34 +560,24 @@ def build_tower(setting) -> FieldTower:
     ext = make_field(F.p, F.m * d)
 
     g = ext.primitive
-    if ext is F:
+    if ext is F or F.m == 1:
+        # the prime field holds labels 0..p-1 of every extension
         embed_table = None
-    elif F.m == 1:
-        embed_table = tuple(range(F.p))
     else:
         # the base generator maps to a root of the base modulus inside
         # the subfield of order q
         h = ext.pow(g, (ext.q - 1) // (F.q - 1))
-        subfield = [0]
-        x = 1
-        for _ in range(F.q - 1):
-            subfield.append(x)
-            x = ext.mul(x, h)
         mu = Poly(ext, tuple(F.modulus))
-        roots = [x for x in subfield if mu(x) == 0]
+        roots, x = [], 1
+        for _ in range(F.q - 1):
+            if mu(x) == 0:
+                roots.append(x)
+            x = ext.mul(x, h)
         if not roots:
             raise Internal("base modulus has no root in the extension")
         rho = min(roots, key=ext.coords)
-        rho_pows = [1]
-        for _ in range(F.m - 1):
-            rho_pows.append(ext.mul(rho_pows[-1], rho))
-        table = []
-        for a in range(F.q):
-            acc = 0
-            for c, rp in zip(F.coords(a), rho_pows):
-                acc = ext.add(acc, ext.mul(c, rp))
-            table.append(acc)
-        embed_table = tuple(table)
+        # a = sum c_i X**i maps to sum c_i rho**i
+        embed_table = tuple(Poly(ext, F.coords(a))(rho) for a in range(F.q))
 
     lam_ext = lam if embed_table is None else embed_table[lam]
     zeta = ext.pow(g, (ext.q - 1) // nr)
@@ -622,16 +590,16 @@ def build_tower(setting) -> FieldTower:
         if k0 == r:
             raise Internal("the unit is not a power of zeta**n")
     step = ext.pow(zeta, r)
-    theta = None
+    candidates = []
     zk = ext.pow(zeta, k0)
     for k in range(k0, nr, r):
         if k > k0:
             zk = ext.mul(zk, step)
         if math.gcd(k, nr) == 1:
-            if theta is None or ext.coords(zk) < ext.coords(theta):
-                theta = zk
-    if theta is None:
+            candidates.append(zk)
+    if not candidates:
         raise Internal("no admissible root of unity found")
+    theta = min(candidates, key=ext.coords)
     if ext.order_of(theta) != nr:
         raise Internal("chosen root of unity has the wrong order")
 

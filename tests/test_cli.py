@@ -86,6 +86,7 @@ class TestSplitVerify:
             '{"q": 5, "n": 6, "lambda": "2", "s": 5, "P": [[1]], "sP": []}',
             '{"q": 5, "n": 6, "lambda": "2", "s": {"a": 1}, "P": [], "sP": []}',
             '{"q": 5, "n": 6, "lambda": "2", "s": 5, "P": [], "sP": [], "P0": [[2]]}',
+            pytest.param("[" * 100000 + "]" * 100000, id="nested-too-deeply"),
         ],
     )
     def test_malformed_certificate_exits_two(self, capsys, monkeypatch, text):
@@ -410,6 +411,10 @@ class TestWitnessCap:
         "sys.exit(main(sys.argv[1:]))\n"
     )
 
+    MERSENNE_31 = ["--q", "2", "--n", "2147483647", "--lambda", "1"]
+    # the 2-cyclotomic coset of 1 mod 2^31 - 1
+    COSET_OF_1 = ",".join(str(1 << i) for i in range(31))
+
     OVER_CAP_EXISTS = {
         "q": 2,
         "n": 2147483647,
@@ -435,12 +440,15 @@ class TestWitnessCap:
                 '{"q": 3, "n": 1073741824, "lambda": 2, "s": 1, "P": [0], "sP": []}',
                 None,
             ),
+            (["code", *MERSENNE_31, "--P", COSET_OF_1], "", None),
+            (["dual", *MERSENNE_31, "--P", COSET_OF_1], "", None),
         ],
-        ids=["exists", "split", "verify"],
+        ids=["exists", "split", "verify", "code", "dual"],
     )
     def test_over_the_cap_exits_two_promptly(self, argv, stdin, payload):
-        """split and verify are refused with exit 2; exists, which needs no
-        witness for its verdict, prints the verdict alone and exits 0."""
+        """split, verify, code and dual are refused with exit 2; exists,
+        which needs no witness for its verdict, prints the verdict alone
+        and exits 0."""
         src = os.path.dirname(os.path.dirname(constacyclic.__file__))
         proc = subprocess.run(
             [sys.executable, "-c", self.CHILD, *argv],

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 
@@ -21,6 +22,7 @@ from constacyclic.errors import DivideByZero, NotInvariant, NotPrime, TooLarge
 from constacyclic.gf import poly_one, poly_x_pow_minus
 
 from oracles import (
+    _int_poly_rem,
     cosets,
     least_irreducible_reference,
     poly_from_root_set_reference,
@@ -102,6 +104,12 @@ class TestMakeField:
         with pytest.raises(TooLarge):
             make_field(2, 21)
 
+    def test_cap_decided_from_degree(self):
+        t0 = time.perf_counter()
+        with pytest.raises(TooLarge, match="13\\^4000000"):
+            make_field(13, 4_000_000)
+        assert time.perf_counter() - t0 < 0.5
+
     def test_instances_cached(self):
         assert make_field(3, 2) is make_field(3, 2)
 
@@ -120,17 +128,33 @@ class TestMakeField:
 
 
 class TestFieldArithmetic:
-    @pytest.mark.parametrize("p,m", [(2, 2), (3, 2), (13, 1), (5, 2), (2, 4)])
+    @pytest.mark.parametrize(
+        "p,m",
+        [(2, 2), (3, 2), (13, 1), (5, 2), (2, 4), (3, 3), (5, 3), (17, 4), (3, 12)],
+    )
     def test_axioms_sampled(self, p, m):
         F = make_field(p, m)
         rng = random.Random(p * 100 + m)
+
+        def digits(x):
+            return [x // p**i % p for i in range(m)]
+
         for _ in range(500):
             a, b, c = (rng.randrange(F.q) for _ in range(3))
             assert F.mul(a, F.mul(b, c)) == F.mul(F.mul(a, b), c)
             assert F.add(a, F.add(b, c)) == F.add(F.add(a, b), c)
             assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
             assert F.add(a, F.neg(a)) == 0
-        for a in range(1, F.q):
+            # the product of the digit polynomials, reduced by the modulus
+            prod = [0] * (2 * m - 1)
+            for i, ai in enumerate(digits(a)):
+                for j, bj in enumerate(digits(b)):
+                    prod[i + j] += ai * bj
+            rem = _int_poly_rem(prod, F.modulus, p)
+            assert F.mul(a, b) == sum(x * p**i for i, x in enumerate(rem))
+        # every inverse in the small fields, a sample in the large ones
+        units = range(1, F.q) if F.q <= 1024 else rng.sample(range(1, F.q), 500)
+        for a in units:
             assert F.mul(a, F.inv(a)) == 1
 
     def test_order_of(self):
@@ -264,6 +288,17 @@ class TestTower:
         tw = make_setting(9, 8, 2).tower
         for a in range(tw.base.q):
             assert tw.project(tw.embed(a)) == a
+
+    @pytest.mark.parametrize(
+        "args", [(5, 6, 2), (9, 4, 1)], ids=["prime-base", "degree-1"]
+    )
+    def test_identity_embedding(self, args):
+        tw = make_setting(*args).tower
+        assert tw.base.m == 1 or tw.d == 1
+        for a in range(tw.base.q):
+            assert tw.embed(a) == a
+        for x in range(tw.ext.q):
+            assert tw.project(x) == (x if x < tw.base.q else None)
 
 
 class TestPolyFromRootSet:
