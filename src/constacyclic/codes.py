@@ -360,7 +360,8 @@ def min_distance(code: ConstaCode) -> float | int:
         return INFINITY
     st = code.setting
     q, n = st.q, st.n
-    if q**k > _ENUM_LIMIT:
+    # q >= 2, so k at or past the cap's bit length is over it unbuilt
+    if k >= _ENUM_LIMIT.bit_length() or q**k > _ENUM_LIMIT:
         raise TooLarge(f"{q}^{k} codewords exceed the enumeration cap")
     g = code.gen_poly.coeffs
     gw = sum(1 for c in g if c)

@@ -28,11 +28,27 @@ decided from the degree, before any power is built.  Fields of order at
 most 1024 also offer numpy (add, mul) tables: mul is one gather from the
 field's exp/log pair over its least primitive element, add is built one
 base-p digit at a time.  Only np_tables imports numpy.
+
+Polynomial products and quotients work on packed ints, a Kronecker
+substitution (von zur Gathen and Gerhard, Modern Computer Algebra,
+section 8.4).  Each coefficient's base-p coordinates go into slots of
+one int, at least 2m - 1 slots per coefficient, each slot wide enough
+that no sum of coordinate products overflows it, so a product of two
+polynomials is one int multiply.  Each output coefficient is then
+reduced once: mod p (in characteristic 2, slot parities read at C
+speed) and by the modulus, its digits m..2m-2 folded back over all
+coefficients at once.  A quotient slides a window of len(b) packed
+coefficients down the dividend; each quotient coefficient costs one
+unpack of the window's top and one small-int multiply-add.  The
+field-specific data (_tail, _mask, _fold, _group) live on each
+FieldSpec.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product as _iterproduct
@@ -123,10 +139,22 @@ class FieldSpec:
                 if c:
                     mask |= 1 << i
             self._mask = mask
-        elif m > 1:
-            # X**m = tail[0] + tail[1]*X + ... + tail[m-1]*X**(m-1), so mul
-            # folds c*X**i into c*tail at X**(i-m)..X**(i-1), top down
-            self._tail = [(-c) % p for c in modulus[:m]]
+            # a packed coefficient spans a whole number of bytes of parity
+            # bits, at least the 2m - 1 of an unreduced product
+            self._group = 8 * _pow2_at_least((2 * m + 6) // 8)
+        else:
+            self._group = 2 * m - 1
+        # X**m = tail[0] + tail[1]*X + ... + tail[m-1]*X**(m-1), so mul
+        # folds c*X**i into c*tail at X**(i-m)..X**(i-1), top down
+        tail = self._tail = [(-c) % p for c in modulus[:m]]
+        # _fold[i] is X**(m+i) reduced by the modulus, for the digits
+        # m..2m-2 of an unreduced product: its coordinates, or in
+        # characteristic 2 the int with those bits
+        fold, x = [], tail
+        for _ in range(m - 1):
+            fold.append(tuple(x) if p > 2 else int("".join(map(str, x[::-1])), 2))
+            x = [(lo + x[-1] * t) % p for lo, t in zip([0] + x[:-1], tail)]
+        self._fold = tuple(fold)
         self._np_tables = None
 
     # -- coordinates ------------------------------------------------------
@@ -320,6 +348,188 @@ def field_for_order(q: int) -> FieldSpec:
     return make_field(p, m)
 
 
+# ---------------------------------------------------------------------------
+# packed polynomial arithmetic: a Kronecker substitution
+#
+# A coefficient of F_{p^m} occupies a group of F._group slots of 8*wb
+# bits each, its base-p coordinates in the lowest m slots and zeros
+# above, so the digits 0..2m-2 of a product of two coefficients stay
+# inside their group.  One int multiply of two packed polynomials sums
+# every coordinate product into its slot; no slot overflows, because wb
+# is chosen from the number of terms a slot can receive.
+
+
+def _pow2_at_least(k: int) -> int:
+    return 1 << (k - 1).bit_length()
+
+
+def _slot_bytes(F: FieldSpec, terms: int) -> int:
+    """Slot width in bytes for digits summing terms products each."""
+    p, m = F.p, F.m
+    bound = terms * m * (p - 1) ** 2
+    if p > 2:
+        # room for the fold of the digits m..2m-2 (_unpack)
+        bound *= 1 + (m - 1) * (p - 1)
+    return _pow2_at_least(-(-bound.bit_length() // 8))
+
+
+def _to_int(slots, wb: int) -> int:
+    """Non-negative slot values, lowest first, as one packed int."""
+    if wb <= 8:
+        # native unsigned types of 1, 2, 4 and 8 bytes
+        data = array("BHIQ"[wb.bit_length() - 1], slots).tobytes()
+        return int.from_bytes(data, sys.byteorder)
+    return int.from_bytes(b"".join(v.to_bytes(wb, "little") for v in slots), "little")
+
+
+def _from_int(x: int, count: int, wb: int) -> list[int]:
+    """The lowest count slots of a packed int, lowest first."""
+    if wb <= 8:
+        data = x.to_bytes(count * wb, sys.byteorder)
+        return memoryview(data).cast("BHIQ"[wb.bit_length() - 1]).tolist()
+    data = x.to_bytes(count * wb, "little")
+    return [int.from_bytes(data[i:i + wb], "little") for i in range(0, len(data), wb)]
+
+
+# ASCII binary digit -> byte of that value, and byte -> ASCII digit of
+# its parity (only the low byte of a slot decides the slot's parity)
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+_PARITY = bytes(b"01"[i & 1] for i in range(256))
+
+
+def _spread_bits(digits: str, wb: int) -> int:
+    """A binary numeral, each digit moved into a slot of its own."""
+    data = digits.encode().translate(_DIGIT_BYTES)
+    if wb > 1:
+        wide = bytearray(len(data) * wb)
+        wide[wb - 1::wb] = data
+        data = wide
+    return int.from_bytes(data, "big")
+
+
+def _pack(F: FieldSpec, coeffs, wb: int) -> int:
+    """Coefficient labels, lowest first, one group each."""
+    p, m, G = F.p, F.m, F._group
+    if p == 2:
+        # the labels in whole-byte groups are the coordinate bits
+        return _spread_bits(format(_to_int(coeffs, G // 8), f"0{len(coeffs) * G}b"), wb)
+    if m == 1:
+        return _to_int(coeffs, wb)
+    slots = [0] * (len(coeffs) * G)
+    pj = 1
+    for j in range(m):
+        slots[j::G] = [a // pj % p for a in coeffs]
+        pj *= p
+    return _to_int(slots, wb)
+
+
+def _unpack(F: FieldSpec, x: int, count: int, wb: int) -> list[int]:
+    """Labels of the lowest count groups of a packed int.
+
+    The digits m..2m-2 of every group are folded into its low m digits
+    at once: digit m+i times the reduced X**(m+i) (F._fold[i]), one
+    multiply-add over the whole int per i.  In characteristic 2 the
+    slots are first reduced to their parities at C speed, the low byte
+    of each slot mapped to an ASCII digit and read by one int(..., 2);
+    the fold is then a xor and each group a whole number of bytes.
+    """
+    if not count:
+        return []
+    p, m, G = F.p, F.m, F._group
+    if p == 2:
+        gb = G // 8
+        bits = int(x.to_bytes(count * G * wb, "big")[wb - 1::wb].translate(_PARITY), 2)
+        first = int.from_bytes((b"\x01" + bytes(gb - 1)) * count, "little")
+        folded = 0
+        for i, r in enumerate(F._fold, m):
+            folded ^= ((bits >> i) & first) * r
+        return _from_int((bits ^ folded) & first * ((1 << m) - 1), count, gb)
+    if m > 1:
+        w = 8 * wb
+        first = int.from_bytes((b"\xff" * wb + bytes(wb * (G - 1))) * count, "little")
+        folded = 0
+        for i, r in enumerate(F._fold, m):
+            folded += ((x >> (i * w)) & first) * _to_int(r, wb)
+        x += folded
+    slots = _from_int(x, count * G, wb)
+    labels = [v % p for v in slots[m - 1::G]]
+    for j in range(m - 2, -1, -1):
+        labels = [c * p + v % p for c, v in zip(labels, slots[j::G])]
+    return labels
+
+
+def _pack_one(F: FieldSpec, c: int, wb: int) -> int:
+    """One label packed as a single group."""
+    if F.m == 1:
+        return c
+    if F.p == 2:
+        return _spread_bits(format(c, "b"), wb)
+    return _to_int(F.coords(c), wb)
+
+
+def _unpack_top(F: FieldSpec, x: int, wb: int) -> int:
+    """Label of a packed int holding one group: _unpack for one group,
+    with the few digits above m folded one at a time."""
+    p, m = F.p, F.m
+    if m == 1:
+        return x % p
+    if p == 2:
+        c = int(x.to_bytes(F._group * wb, "big")[wb - 1::wb].translate(_PARITY), 2)
+        while c >> m:
+            c ^= F._mask << (c.bit_length() - 1 - m)
+        return c
+    slots = _from_int(x, F._group, wb)
+    for i, r in enumerate(F._fold, m):
+        v = slots[i]
+        if v:
+            for j, rj in enumerate(r):
+                slots[j] += v * rj
+    return F.from_coords(slots[:m])
+
+
+def _poly_mul(F: FieldSpec, a, b) -> list[int]:
+    """Coefficients of a*b for non-empty coefficient tuples a, b."""
+    wb = _slot_bytes(F, min(len(a), len(b)))
+    return _unpack(F, _pack(F, a, wb) * _pack(F, b, wb), len(a) + len(b) - 1, wb)
+
+
+def _poly_divmod(F: FieldSpec, a, b) -> tuple[list[int], list[int]]:
+    """Quotient and remainder coefficients of a by a non-empty b.
+
+    The dividend passes through a window of len(b) packed coefficients.
+    Each step unpacks the top one, t, adds t times the packed -b/lead to
+    the others, and shifts the next dividend coefficient in at the
+    bottom, so a slot receives at most len(b) - 1 products besides its
+    own coordinate before it is unpacked.
+    """
+    la, lb = len(a), len(b)
+    if la < lb:
+        return [], list(a)
+    db = lb - 1
+    inv = F.inv(b[-1])
+    wb = _slot_bytes(F, lb + 1)
+    gw = F._group * 8 * wb
+    top = db * gw
+    rest = (1 << top) - 1
+    neg_b = _pack(F, [F.neg(F.mul(c, inv)) for c in b[:db]], wb)
+    window = _pack(F, a[la - lb:], wb)
+    quot = []
+    for i in range(la - lb - 1, -2, -1):
+        t = _unpack_top(F, window >> top, wb)
+        quot.append(t)
+        window &= rest
+        if t:
+            window += _pack_one(F, t, wb) * neg_b
+        if i >= 0:
+            window <<= gw
+            if a[i]:
+                window += _pack_one(F, a[i], wb)
+    quot.reverse()
+    if inv != 1:
+        quot = [F.mul(c, inv) for c in quot]
+    return quot, _unpack(F, window, db, wb)
+
+
 @dataclass(frozen=True)
 class FieldElement:
     """A field element carried together with its field."""
@@ -377,31 +587,15 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly(F, ())
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        out[i + j] = F.add(out[i + j], F.mul(ai, bj))
-        return Poly(F, tuple(out))
+        return Poly(F, tuple(_poly_mul(F, a, b)))
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         self._check(other)
         if other.is_zero:
             raise DivideByZero("polynomial division by zero")
         F = self.field
-        a = list(self.coeffs)
-        b = other.coeffs
-        db = len(b) - 1
-        inv = F.inv(b[-1])
-        q = [0] * max(len(a) - db, 0)
-        for i in range(len(a) - 1, db - 1, -1):
-            c = F.mul(a[i], inv)
-            if c:
-                q[i - db] = c
-                for j, bj in enumerate(b):
-                    a[i - db + j] = F.sub(a[i - db + j], F.mul(c, bj))
-        return Poly(F, tuple(q)), Poly(F, tuple(a))
+        q, r = _poly_divmod(F, self.coeffs, other.coeffs)
+        return Poly(F, tuple(q)), Poly(F, tuple(r))
 
     def __mod__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[1]
@@ -613,7 +807,8 @@ def poly_from_root_set(tower: FieldTower, root_exponents) -> Poly:
     exactly then it is a union of q-cosets and the product descends to
     the base field.  Each coset is walked once, from its least residue,
     and the result is the F_q product of the tower's cached minimal
-    polynomials (FieldTower._min_poly) in increasing order of that residue.
+    polynomials (FieldTower._min_poly) in increasing order of that residue,
+    the first taken as it is rather than multiplied by 1.
     """
     elems = getattr(root_exponents, "elems", root_exponents)
     nr, q = tower.nr, tower.base.q
@@ -621,7 +816,7 @@ def poly_from_root_set(tower: FieldTower, root_exponents) -> Poly:
     left = set(S)
     if {(q * x) % nr for x in S} != left:
         raise NotInvariant("root exponent set is not closed under the field size")
-    prod = poly_one(tower.base)
+    prod = None
     for rep in S:
         if rep not in left:
             continue
@@ -631,5 +826,6 @@ def poly_from_root_set(tower: FieldTower, root_exponents) -> Poly:
             coset.append(y)
             y = (q * y) % nr
         left.difference_update(coset)
-        prod = prod * tower._min_poly(coset)
-    return prod
+        f = tower._min_poly(coset)
+        prod = f if prod is None else prod * f
+    return poly_one(tower.base) if prod is None else prod

@@ -100,9 +100,13 @@ def mds_report(q: int, lam=None) -> dict:
 
     The exact distance is enumerated when the message space fits the
     cap; otherwise the consecutive-root lower bound is certified and the
-    MDS flag is left undecided.
+    MDS flag is left undecided.  n*r = (q+1)*r divides q**2 - 1, so the
+    codes' tower is always F_{q^2}; a q whose square is over the field
+    cap is refused before the splitting is built.
     """
     plan = grs_plan(q)
+    field = gf.field_for_order(q)
+    gf.make_field(field.p, 2 * field.m)
     sp = grs_splitting(plan, lam)
     c1, c2 = sp.codes()
     d_expected = (q + 5) // 2

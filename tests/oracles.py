@@ -445,6 +445,44 @@ def poly_from_root_set_reference(tower, root_exponents):
     return None if None in coeffs else coeffs
 
 
+def _trim(coeffs) -> tuple:
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def poly_mul_reference(F, a, b) -> tuple:
+    """Schoolbook product of coefficient tuples over F, low-to-high and
+    without trailing zeros: one field multiply and add per term pair."""
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    out[i + j] = F.add(out[i + j], F.mul(ai, bj))
+    return _trim(out)
+
+
+def poly_divmod_reference(F, a, b) -> tuple:
+    """Schoolbook long division of coefficient tuples over F by a b
+    with a nonzero top coefficient: (quotient, remainder), each
+    low-to-high and without trailing zeros."""
+    a = list(a)
+    db = len(b) - 1
+    inv = F.inv(b[-1])
+    q = [0] * max(len(a) - db, 0)
+    for i in range(len(a) - 1, db - 1, -1):
+        c = F.mul(a[i], inv)
+        if c:
+            q[i - db] = c
+            for j, bj in enumerate(b):
+                a[i - db + j] = F.sub(a[i - db + j], F.mul(c, bj))
+    return _trim(q), _trim(a)
+
+
 def _int_poly_rem(a, b, p):
     """Remainder of a by the monic b over F_p, coefficients low-to-high."""
     a = list(a)

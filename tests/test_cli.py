@@ -177,6 +177,22 @@ class TestSplitVerify:
         assert proc.stdout == ""
         assert proc.stderr.startswith("error:")
 
+    @pytest.mark.parametrize("q", ["1048573", "1033"])
+    def test_mds_over_the_tower_cap_exits_two_promptly(self, q):
+        """The tower of an mds pair is F_{q^2}; q^2 > 2^20 is refused
+        before the splitting, lambda search or distance work."""
+        src = os.path.dirname(os.path.dirname(constacyclic.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "constacyclic.cli", "mds", "--q", q],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=5,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: field size {q}^2 exceeds 2^20\n"
+
     def test_split_without_splitting_exits_one(self, capsys):
         code, out, err = run(capsys, "split", "--q", "2", "--n", "5", "--lambda", "1")
         assert code == 1

@@ -449,6 +449,20 @@ class TestDistance:
         st = make_setting(q, n, lam)
         assert min_distance(ConstaCode(IndexSet(st, 1, check))) == d
 
+    @pytest.mark.parametrize("q, n, check", [(2, 7, (1, 2, 4)), (3, 13, (1, 3, 9))])
+    def test_cap_is_exact(self, monkeypatch, q, n, check):
+        """q^k at the cap enumerates and one past it is refused; for
+        q = 2 the refusal comes from the bit-length test alone."""
+        from constacyclic import codes
+
+        code = ConstaCode(IndexSet(make_setting(q, n, 1), 1, check))
+        cap = q**code.dim
+        monkeypatch.setattr(codes, "_ENUM_LIMIT", cap)
+        assert min_distance(code) == oracles.min_distance_bruteforce(code)
+        monkeypatch.setattr(codes, "_ENUM_LIMIT", cap - 1)
+        with pytest.raises(TooLarge, match=f"^{q}\\^3 codewords exceed the enumeration cap$"):
+            min_distance(code)
+
     def test_too_large(self):
         st = make_setting(17, 18, 16)
         big = ConstaCode(IndexSet(st, 1, st.p_set(1)))
