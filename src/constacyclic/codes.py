@@ -363,25 +363,17 @@ def min_distance(code: ConstaCode) -> float | int:
     # q >= 2, so k at or past the cap's bit length is over it unbuilt
     if k >= _ENUM_LIMIT.bit_length() or q**k > _ENUM_LIMIT:
         raise TooLarge(f"{q}^{k} codewords exceed the enumeration cap")
-    g = code.gen_poly.coeffs
-    gw = sum(1 for c in g if c)
+    g = code.gen_poly
+    gw = sum(1 for c in g.coeffs if c)
     if k == 1:
         return gw
     if q <= gf._NP_TABLE_LIMIT:
-        return _min_distance_np(st, g, k)
+        return _min_distance_np(st, g.coeffs, k)
     # q above table range forces k <= 2 under the enumeration cap, so the
-    # monic messages are (1,) and (a, 1) for a in F_q
+    # monic messages are 1 and a + X for a in F_q
     F = st.field
-    best = gw
-    for a in range(q):
-        word = [0] * (len(g) + 1)
-        for j, c in enumerate(g):
-            word[j] = F.add(word[j], F.mul(a, c))
-            word[j + 1] = F.add(word[j + 1], c)
-        w = sum(1 for c in word if c)
-        if w < best:
-            best = w
-    return best
+    weights = (sum(1 for c in (Poly(F, (a, 1)) * g).coeffs if c) for a in range(q))
+    return min(gw, min(weights))
 
 
 def _min_distance_np(st: CodeSetting, g: tuple[int, ...], k: int) -> int:

@@ -14,20 +14,20 @@ embedded constacyclic unit; theta is the candidate with the
 lexicographically least coordinate vector, so towers are reproducible
 too.  poly_from_root_set multiplies, over F_q, the minimal polynomials
 of the q-cosets of its root set.  Each tower expands a coset's minimal
-polynomial prod(X - theta**x) in the extension once, at about |C|**2 / 2
-extension multiplications, and caches it, so over a tower's life the
-extension work is the sum of |C|**2 / 2 over the cosets ever asked for;
-each call then pays only the F_q products.  Callers that need a
-complementary pair still expand the smaller set and divide
+polynomial prod(X - theta**x) once, multiplying the linear factors over
+the extension in pairs, then pairs of pairs, by packed products (below),
+and caches it; each call then pays only the F_q products.  Callers that
+need a complementary pair still expand the smaller set and divide
 (codes.ConstaCode).  A tower over a prime field, like one of degree 1,
 embeds by identity: F_p is labels 0..p-1 of every extension.
 
 Scalar arithmetic works on labels directly.  An odd-characteristic
 product is reduced by the modulus itself, and the field-size cap is
-decided from the degree, before any power is built.  Fields of order at
-most 1024 also offer numpy (add, mul) tables: mul is one gather from the
-field's exp/log pair over its least primitive element, add is built one
-base-p digit at a time.  Only np_tables imports numpy.
+decided from the degree, before any power is built.  least_of_order
+scans labels for the least of order r; primitive is r = q - 1.  Fields
+of order at most 1024 also offer numpy (add, mul) tables: mul is one
+gather from the field's exp/log pair over the primitive element, add is
+built one base-p digit at a time.  Only np_tables imports numpy.
 
 Polynomial products and quotients work on packed ints, a Kronecker
 substitution (von zur Gathen and Gerhard, Modern Computer Algebra,
@@ -264,15 +264,21 @@ class FieldSpec:
                 k //= p
         return k
 
+    def least_of_order(self, r: int) -> int | None:
+        """Least a with a**r == 1 and a**(r // ell) != 1 for each prime
+        ell | r: the least label of order r, None if r does not divide q - 1."""
+        if r < 1 or (self.q - 1) % r:
+            return None
+        primes = [ell for ell, _ in factorize(r)]
+        return next(
+            a for a in range(1, self.q)
+            if self.pow(a, r) == 1 and all(self.pow(a, r // ell) != 1 for ell in primes)
+        )
+
     @cached_property
     def primitive(self) -> int:
         """Least label of multiplicative order q - 1, found once per field."""
-        if self.q == 2:
-            return 1
-        for a in range(2, self.q):
-            if self.order_of(a) == self.q - 1:
-                return a
-        raise Internal(f"no primitive element found in {self!r}")
+        return self.least_of_order(self.q - 1)
 
     def element(self, label: int) -> "FieldElement":
         if not 0 <= label < self.q:
@@ -458,35 +464,6 @@ def _unpack(F: FieldSpec, x: int, count: int, wb: int) -> list[int]:
     return labels
 
 
-def _pack_one(F: FieldSpec, c: int, wb: int) -> int:
-    """One label packed as a single group."""
-    if F.m == 1:
-        return c
-    if F.p == 2:
-        return _spread_bits(format(c, "b"), wb)
-    return _to_int(F.coords(c), wb)
-
-
-def _unpack_top(F: FieldSpec, x: int, wb: int) -> int:
-    """Label of a packed int holding one group: _unpack for one group,
-    with the few digits above m folded one at a time."""
-    p, m = F.p, F.m
-    if m == 1:
-        return x % p
-    if p == 2:
-        c = int(x.to_bytes(F._group * wb, "big")[wb - 1::wb].translate(_PARITY), 2)
-        while c >> m:
-            c ^= F._mask << (c.bit_length() - 1 - m)
-        return c
-    slots = _from_int(x, F._group, wb)
-    for i, r in enumerate(F._fold, m):
-        v = slots[i]
-        if v:
-            for j, rj in enumerate(r):
-                slots[j] += v * rj
-    return F.from_coords(slots[:m])
-
-
 def _poly_mul(F: FieldSpec, a, b) -> list[int]:
     """Coefficients of a*b for non-empty coefficient tuples a, b."""
     wb = _slot_bytes(F, min(len(a), len(b)))
@@ -515,15 +492,15 @@ def _poly_divmod(F: FieldSpec, a, b) -> tuple[list[int], list[int]]:
     window = _pack(F, a[la - lb:], wb)
     quot = []
     for i in range(la - lb - 1, -2, -1):
-        t = _unpack_top(F, window >> top, wb)
+        t = _unpack(F, window >> top, 1, wb)[0]
         quot.append(t)
         window &= rest
         if t:
-            window += _pack_one(F, t, wb) * neg_b
+            window += _pack(F, [t], wb) * neg_b
         if i >= 0:
             window <<= gw
             if a[i]:
-                window += _pack_one(F, a[i], wb)
+                window += _pack(F, [a[i]], wb)
     quot.reverse()
     if inv != 1:
         quot = [F.mul(c, inv) for c in quot]
@@ -709,24 +686,20 @@ class FieldTower:
         coset lists the q-coset as poly_from_root_set walks it, from its
         least residue mod nr; that residue keys the tower's cache.  The
         first call expands prod(X - theta**x) over the coset in the
-        extension, at about |C|**2 / 2 multiplications, and projects the
-        coefficients to F_q; later calls return the cached polynomial.
+        extension, multiplying the linear factors in pairs, then pairs of
+        pairs, with Poly's packed product, and projects the coefficients
+        to F_q; later calls return the cached polynomial.
         """
         rep = coset[0]
         f = self._min_polys.get(rep)
         if f is None:
             ext = self.ext
-            prod = [1]
-            for x in coset:
-                mr = ext.neg(self.theta_pows[x])
-                nxt = [0] * (len(prod) + 1)
-                nxt[0] = ext.mul(mr, prod[0])
-                for j in range(1, len(prod)):
-                    nxt[j] = ext.add(prod[j - 1], ext.mul(mr, prod[j]))
-                nxt[len(prod)] = prod[-1]
-                prod = nxt
+            fs = [Poly(ext, (ext.neg(self.theta_pows[x]), 1)) for x in coset]
+            while len(fs) > 1:
+                # an odd one out waits for the next round
+                fs = [a * b for a, b in zip(fs[::2], fs[1::2])] + fs[len(fs) & ~1:]
             coeffs = []
-            for c in prod:
+            for c in fs[0].coeffs:
                 down = self.project(c)
                 if down is None:
                     raise NotInvariant(

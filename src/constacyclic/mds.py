@@ -65,10 +65,10 @@ def grs_plan(q: int) -> GrsPlan:
 
 def default_lambda(field: FieldSpec, r: int) -> FieldElement:
     """Least-label element of multiplicative order r."""
-    for a in range(1, field.q):
-        if field.order_of(a) == r:
-            return field.element(a)
-    raise BadLambda(f"no element of order {r} in {field!r}")
+    a = field.least_of_order(r)
+    if a is None:
+        raise BadLambda(f"no element of order {r} in {field!r}")
+    return field.element(a)
 
 
 def _resolve(plan: GrsPlan, lam) -> CodeSetting:

@@ -108,7 +108,8 @@ class TestSplitVerify:
         assert err == "error: forced failure\n"
 
     def test_split_verify_and_code_leave_numpy_unimported(self):
-        """Towers, root-set polynomials and verification need no numpy."""
+        """Towers, root-set polynomials, verification and distances over
+        fields above the numpy table range need no numpy."""
         src = os.path.dirname(os.path.dirname(constacyclic.__file__))
         script = (
             "import contextlib, io, sys\n"
@@ -121,6 +122,9 @@ class TestSplitVerify:
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    assert main(['verify']) == 0\n"
             "    assert main(['code', *setting, '--P', '7,28,49']) == 0\n"
+            "    unit = ' '.join(['1'] + ['0'] * 10)\n"
+            "    big = ['--q', '2048', '--n', '23', '--lambda', unit, '--P', '1,2']\n"
+            "    assert main(['code', *big, '--distance']) == 0\n"
             "print('numpy' in sys.modules)\n"
         )
         proc = subprocess.run(

@@ -463,6 +463,20 @@ class TestDistance:
         with pytest.raises(TooLarge, match=f"^{q}\\^3 codewords exceed the enumeration cap$"):
             min_distance(code)
 
+    @pytest.mark.parametrize(
+        "q, n, lam",
+        [(2048, 23, " ".join(["1"] + ["0"] * 10)), (1031, 10, "1")],
+    )
+    def test_above_table_range_matches_monic_scan(self, q, n, lam):
+        """Fields over 1024 have no numpy tables and the cap leaves k <= 2;
+        every monic message, 1 and a + X, multiplied out by the schoolbook."""
+        code = ConstaCode(IndexSet(make_setting(q, n, lam), 1, (1, 2)))
+        assert code.dim == 2
+        F, g = code.setting.field, code.gen_poly.coeffs
+        messages = [(1,)] + [(a, 1) for a in range(q)]
+        want = min(oracles.weight(oracles.poly_mul_reference(F, m, g)) for m in messages)
+        assert min_distance(code) == want
+
     def test_too_large(self):
         st = make_setting(17, 18, 16)
         big = ConstaCode(IndexSet(st, 1, st.p_set(1)))

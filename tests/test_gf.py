@@ -17,13 +17,14 @@ from constacyclic import (
     poly_from_root_set,
     poly_to_text,
 )
-from constacyclic.arith import _mult_order
+from constacyclic.arith import _mult_order, divisors
 from constacyclic.errors import DivideByZero, NotInvariant, NotPrime, TooLarge
 from constacyclic.gf import poly_one, poly_x_pow_minus
 
 from oracles import (
     _int_poly_rem,
     cosets,
+    element_order,
     least_irreducible_reference,
     poly_from_root_set_reference,
 )
@@ -164,6 +165,21 @@ class TestFieldArithmetic:
         assert F.order_of(2) == 12
         with pytest.raises(DivideByZero):
             F.order_of(0)
+
+    def test_least_of_order_matches_element_order(self):
+        """Every r | q - 1 for every q <= 256, against orders found by
+        repeated products; primitive is the case r = q - 1."""
+        for q in range(2, 257):
+            try:
+                F = gf.field_for_order(q)
+            except ValueError:
+                continue
+            orders = [element_order(F, a) for a in range(1, q)]
+            for r in divisors(q - 1):
+                assert F.least_of_order(r) == orders.index(r) + 1, (q, r)
+            assert F.primitive == orders.index(q - 1) + 1
+            assert F.least_of_order(q) is None
+            assert F.least_of_order(0) is None
 
     def test_coords_round_trip(self):
         F = make_field(3, 3)

@@ -75,6 +75,12 @@ class TestPair:
         assert default_lambda(field_for_order(13), 4).label == 5
         assert default_lambda(field_for_order(5), 4).label == 2
 
+    @pytest.mark.parametrize("q, r", [(13, 5), (13, 0), (16, 2), (1048573, 5)])
+    def test_default_lambda_refuses_order_not_dividing(self, q, r):
+        """Refused without a label scan, even over the largest prime field."""
+        with pytest.raises(BadLambda, match=f"^no element of order {r} in GF\\({q}\\)$"):
+            default_lambda(field_for_order(q), r)
+
     def test_q13_parameters(self):
         c1, c2 = grs_splitting(grs_plan(13)).codes()
         assert c1.dim == c2.dim == 6
