@@ -60,7 +60,7 @@ def _cmd_exists(args) -> int:
     """Verdict with a certified witness; over the witness cap, the verdict
     alone, with the reason the witness was skipped."""
     setting = _setting_from_args(args)
-    over_cap = setting.n > duadic.MAX_WITNESS_LENGTH
+    over_cap = setting.n > codes.MAX_WITNESS_LENGTH
     verdict = duadic.exists_type2(setting, with_witness=not over_cap)
     payload = {
         "q": setting.q,

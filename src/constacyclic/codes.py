@@ -34,6 +34,11 @@ MAX_WITNESS_LENGTH = 1 << 22
 INFINITY = math.inf
 
 
+def _check_witness_length(n: int) -> None:
+    if n > MAX_WITNESS_LENGTH:
+        raise TooLarge(f"length {n} exceeds the 2^22 witness cap")
+
+
 class CodeSetting:
     """The ambient data (q, n, lambda) with its derived constants.
 
@@ -109,8 +114,7 @@ class CodeSetting:
 
         Raises TooLarge, before listing them, above MAX_WITNESS_LENGTH.
         """
-        if self.n > MAX_WITNESS_LENGTH:
-            raise TooLarge(f"length {self.n} exceeds the 2^22 witness cap")
+        _check_witness_length(self.n)
         t = self.unit_check(t)
         return tuple(range(t % self.r, self.nr, self.r))
 
@@ -204,7 +208,7 @@ class IndexSet:
         )
 
     def negate(self) -> "IndexSet":
-        return self.scale(self.setting.nr - 1 if self.setting.nr > 1 else 0)
+        return self.scale(-1)
 
     def union(self, other: "IndexSet") -> "IndexSet":
         self._same_ambient(other)
@@ -345,46 +349,37 @@ def dual(code: ConstaCode) -> ConstaCode:
 
 
 def min_distance(code: ConstaCode) -> float | int:
-    """Exact minimum Hamming weight by message-space enumeration.
+    """Exact minimum Hamming weight: wt(g) for k <= 2, else enumerated.
 
-    Scans one representative per scalar class (messages whose leading
-    nonzero coefficient is 1), which is exhaustive because scaling a
-    codeword does not change its weight.  Over fields with numpy tables
-    the scan is split: a table of every combination of the low rows
-    X^j g, j < a, is built once (at most ``_BLOCK`` rows), and each monic
-    combination of the rows above is compared with the whole table, so a
-    codeword costs one comparison of n cells instead of a gather per row.
+    For k <= 2 a codeword of weight below n has a zero coordinate, and a
+    constacyclic shift, which keeps weights, moves it to X^(n-1); the
+    shifted word has degree at most n - 2 <= deg g, so it is a scalar
+    multiple of g and no codeword is lighter than g.  Larger codes are
+    enumerated by _min_distance_np; the cap on q^k is checked first for
+    every k.
     """
     k = code.dim
     if k == 0:
         return INFINITY
-    st = code.setting
-    q, n = st.q, st.n
+    q = code.setting.q
     # q >= 2, so k at or past the cap's bit length is over it unbuilt
     if k >= _ENUM_LIMIT.bit_length() or q**k > _ENUM_LIMIT:
         raise TooLarge(f"{q}^{k} codewords exceed the enumeration cap")
-    g = code.gen_poly
-    gw = sum(1 for c in g.coeffs if c)
-    if k == 1:
-        return gw
-    if q <= gf._NP_TABLE_LIMIT:
-        return _min_distance_np(st, g.coeffs, k)
-    # q above table range forces k <= 2 under the enumeration cap, so the
-    # monic messages are 1 and a + X for a in F_q
-    F = st.field
-    weights = (sum(1 for c in (Poly(F, (a, 1)) * g).coeffs if c) for a in range(q))
-    return min(gw, min(weights))
+    g = code.gen_poly.coeffs
+    if k <= 2:
+        return sum(1 for c in g if c)
+    return _min_distance_np(code.setting, g, k)
 
 
 def _min_distance_np(st: CodeSetting, g: tuple[int, ...], k: int) -> int:
-    """Split enumeration: every codeword is high + low.
+    """Split enumeration over numpy tables, one codeword per scalar class.
 
-    low runs over the span of rows 0..a-1, tabled once, with q^a at most
-    ``_BLOCK``; its nonzero rows are the messages led below a.  For each
-    lead >= a, high runs over row lead plus the span of rows a..lead-1.
-    The span is closed under negation, so high + span = high - span and
-    the least weight there is n minus the most coordinates that any low
-    row shares with high.
+    Every monic codeword is high + low: low runs over the span of rows
+    0..a-1, tabled once, with q^a at most ``_BLOCK``; its nonzero rows are
+    the messages led below a.  For each lead >= a, high runs over row lead
+    plus the span of rows a..lead-1.  The span is closed under negation,
+    so high + span = high - span and the least weight there is n minus
+    the most coordinates that any low row shares with high.
     """
     import numpy as np
 

@@ -30,19 +30,14 @@ from itertools import compress
 
 from . import gf
 from .arith import _mult_order, divisors, euler_phi, factorize, nu2
-from .codes import MAX_WITNESS_LENGTH, CodeSetting, ConstaCode, IndexSet, make_setting
-from .errors import Internal, NonUnit, NoSplitting, TooLarge
+from .codes import CodeSetting, ConstaCode, IndexSet, _check_witness_length, make_setting
+from .errors import Internal, NoSplitting, TooLarge
 from .gf import Poly
 
 # Index labels: one value each while constructing, bits while checking.
 _P, _SP, _P0 = 1, 2, 4
 # bytes.translate tables keeping one label bit of every index
 _ONLY = {bit: bytes(v & bit for v in range(256)) for bit in (_P, _SP)}
-
-
-def _check_witness_length(n: int) -> None:
-    if n > MAX_WITNESS_LENGTH:
-        raise TooLarge(f"length {n} exceeds the 2^22 witness cap")
 
 
 class SplittingKind(str, Enum):
@@ -555,10 +550,7 @@ def is_iso_orthogonal(code: ConstaCode, t: int) -> bool:
     """Whether the exponent-t isometry maps the code into its dual."""
     st = code.setting
     nr = st.nr
-    t %= nr
-    if math.gcd(t, nr) != 1:
-        raise NonUnit(f"{t} is not a unit mod {nr}")
-    mt = (-t) % nr
+    mt = (-st.unit_check(t)) % nr
     if mt % st.r != 1 % st.r:
         return False
     p = set(code.check.elems)
@@ -579,7 +571,7 @@ def even_dual_is_odd(sp: Splitting) -> bool:
     neg = lambda xs: {(-x) % nr for x in xs}
     a = neg(ambient - p)
     b = neg(ambient - spx)
-    amb_neg = set(st.p_set(-1 % nr if nr > 1 else 0))
+    amb_neg = set(st.p_set(-1))
     p0_neg = neg(set(p0_set(st, 1).elems))
     pair_ok = {(sp.s * x) % nr for x in a} == b
     return pair_ok and (a | b) == amb_neg and (a & b) == p0_neg

@@ -64,6 +64,8 @@ from .errors import (
 )
 
 MAX_FIELD_SIZE = 1 << 20
+# Guards the q^2 cells of np_tables for direct callers; codes asks only
+# for k >= 3, which the 2^25 enumeration cap holds to q <= 322.
 _NP_TABLE_LIMIT = 1 << 10
 
 

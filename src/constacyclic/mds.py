@@ -77,10 +77,9 @@ def _resolve(plan: GrsPlan, lam) -> CodeSetting:
         lam = default_lambda(field, plan.r)
     elif not isinstance(lam, FieldElement):
         lam = field.element(int(lam))
-    if field.order_of(lam.label) != plan.r:
-        raise BadLambda(
-            f"lambda must have order {plan.r}, got order {field.order_of(lam.label)}"
-        )
+    order = field.order_of(lam.label)
+    if order != plan.r:
+        raise BadLambda(f"lambda must have order {plan.r}, got order {order}")
     return make_setting(plan.q, plan.n, lam.label)
 
 
@@ -98,9 +97,9 @@ def grs_splitting(plan: GrsPlan, lam=None) -> Splitting:
 def mds_report(q: int, lam=None) -> dict:
     """CLI payload: the pair's reports plus the distance/MDS verdict.
 
-    The exact distance is enumerated when the message space fits the
-    cap; otherwise the consecutive-root lower bound is certified and the
-    MDS flag is left undecided.  n*r = (q+1)*r divides q**2 - 1, so the
+    The exact distance, wt(g) for k <= 2 and enumerated for k >= 3, is
+    found when q^k fits the cap; otherwise the consecutive-root lower
+    bound is certified and the MDS flag is left undecided.  n*r = (q+1)*r divides q**2 - 1, so the
     codes' tower is always F_{q^2}; a q whose square is over the field
     cap is refused before the splitting is built.
     """

@@ -108,8 +108,8 @@ class TestSplitVerify:
         assert err == "error: forced failure\n"
 
     def test_split_verify_and_code_leave_numpy_unimported(self):
-        """Towers, root-set polynomials, verification and distances over
-        fields above the numpy table range need no numpy."""
+        """Towers, root-set polynomials, verification and k <= 2 distances,
+        inside the numpy table range and above it, need no numpy."""
         src = os.path.dirname(os.path.dirname(constacyclic.__file__))
         script = (
             "import contextlib, io, sys\n"
@@ -125,6 +125,9 @@ class TestSplitVerify:
             "    unit = ' '.join(['1'] + ['0'] * 10)\n"
             "    big = ['--q', '2048', '--n', '23', '--lambda', unit, '--P', '1,2']\n"
             "    assert main(['code', *big, '--distance']) == 0\n"
+            "    lam = ' '.join(['1'] + ['0'] * 7)\n"
+            "    q256 = ['--q', '256', '--n', '257', '--lambda', lam, '--P', '1,256']\n"
+            "    assert main(['code', *q256, '--distance']) == 0\n"
             "print('numpy' in sys.modules)\n"
         )
         proc = subprocess.run(

@@ -463,13 +463,30 @@ class TestDistance:
         with pytest.raises(TooLarge, match=f"^{q}\\^3 codewords exceed the enumeration cap$"):
             min_distance(code)
 
+    @pytest.mark.parametrize("t", [1, -1])
+    def test_closed_form_at_k_le_2_matches_bruteforce(self, tower_friendly, t):
+        """d = wt(g) for k <= 2: single cosets of size <= 2 and pairs of
+        singleton cosets, against the scan of every nonzero codeword."""
+        checks = []
+        for st in tower_friendly:
+            cosets = oracles.cosets(st, t)
+            singles = [c for c in cosets if len(c) == 1]
+            checks += [(st, c) for c in cosets if len(c) <= 2]
+            checks += [(st, a + b) for a, b in itertools.combinations(singles, 2)]
+        sample = random.Random(59 + t).sample(checks, 60)
+        assert {len(c) for _, c in sample} == {1, 2}
+        for st, elems in sample:
+            code = ConstaCode(IndexSet(st, t, tuple(elems)))
+            assert min_distance(code) == oracles.min_distance_bruteforce(code)
+
     @pytest.mark.parametrize(
         "q, n, lam",
         [(2048, 23, " ".join(["1"] + ["0"] * 10)), (1031, 10, "1")],
     )
     def test_above_table_range_matches_monic_scan(self, q, n, lam):
-        """Fields over 1024 have no numpy tables and the cap leaves k <= 2;
-        every monic message, 1 and a + X, multiplied out by the schoolbook."""
+        """k = 2 over fields above 1024, where the closed form wt(g) is
+        checked against every monic message, 1 and a + X, multiplied out
+        by the schoolbook."""
         code = ConstaCode(IndexSet(make_setting(q, n, lam), 1, (1, 2)))
         assert code.dim == 2
         F, g = code.setting.field, code.gen_poly.coeffs

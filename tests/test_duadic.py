@@ -553,18 +553,18 @@ class TestLargerN:
 
 class TestWitnessCap:
     def test_cap_is_inclusive(self, monkeypatch, st13):
-        from constacyclic import duadic
+        from constacyclic import codes
 
         st1 = make_setting(3, 20, 2)
-        monkeypatch.setattr(duadic, "MAX_WITNESS_LENGTH", 14)
+        monkeypatch.setattr(codes, "MAX_WITNESS_LENGTH", 14)
         w = construct_type2(st13)
         cert = certificate(w)
         assert verify_certificate(cert)[0].ok
         with pytest.raises(TooLarge):
             construct_type1(st1)
-        monkeypatch.setattr(duadic, "MAX_WITNESS_LENGTH", 20)
+        monkeypatch.setattr(codes, "MAX_WITNESS_LENGTH", 20)
         assert construct_type1(st1).kind == SplittingKind.TYPE_I
-        monkeypatch.setattr(duadic, "MAX_WITNESS_LENGTH", 13)
+        monkeypatch.setattr(codes, "MAX_WITNESS_LENGTH", 13)
         with pytest.raises(TooLarge):
             construct_type2(st13)
         with pytest.raises(TooLarge):
@@ -579,7 +579,7 @@ class TestWitnessCap:
         with pytest.raises(ValueError, match="not an integer"):
             verify_certificate({**cert, "s": 1.5})
         assert exists_type2(st13, with_witness=False).exists
-        monkeypatch.setattr(duadic, "MAX_WITNESS_LENGTH", 14)
+        monkeypatch.setattr(codes, "MAX_WITNESS_LENGTH", 14)
         assert max_iso_orthogonal_dim(st13) == 6
 
     def test_max_iso_orthogonal_dim_refused_at_once_over_the_cap(self):
@@ -594,7 +594,7 @@ class TestWitnessCap:
         and 1 when false, with the payload of a false verdict unchanged."""
         import json
 
-        from constacyclic import duadic
+        from constacyclic import codes
         from constacyclic.cli import main
 
         argv = ["--q", "13", "--n", "14", "--lambda", "5"]
@@ -603,7 +603,7 @@ class TestWitnessCap:
         within = json.loads(capsys.readouterr().out)
         assert main(no_splitting) == 1
         false_within = capsys.readouterr().out
-        monkeypatch.setattr(duadic, "MAX_WITNESS_LENGTH", 13)
+        monkeypatch.setattr(codes, "MAX_WITNESS_LENGTH", 13)
         assert main(["split", *argv]) == 2
         out = capsys.readouterr()
         assert out.out == "" and out.err.startswith("error:")
