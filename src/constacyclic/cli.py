@@ -66,7 +66,7 @@ def _cmd_exists(args) -> int:
         "q": setting.q,
         "n": setting.n,
         "r": setting.r,
-        "lambda": gf.element_to_text(setting.field, setting.lam.label),
+        "lambda": gf.element_to_text(setting.field, setting.lam),
         "exists": verdict.exists,
         "reason": verdict.reason,
         "type1_exists": duadic.exists_type1(setting),
@@ -182,17 +182,17 @@ def _cmd_atlas(args) -> int:
         except ValueError:
             continue
         for r in divisors(q - 1):
-            lam = mds.default_lambda(field, r)
+            lam = field.least_of_order(r)
             for n in range(1, args.max_n + 1):
                 if math.gcd(n, q) != 1:
                     continue
-                setting = make_setting(q, n, lam.label)
+                setting = make_setting(q, n, lam)
                 verdict = duadic.exists_type2(setting, with_witness=False)
                 line = {
                     "q": q,
                     "n": n,
                     "r": r,
-                    "lambda": gf.element_to_text(field, lam.label),
+                    "lambda": gf.element_to_text(field, lam),
                     "type1": duadic.exists_type1(setting),
                     "type2": verdict.exists,
                     "reason": verdict.reason,

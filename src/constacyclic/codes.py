@@ -1,6 +1,7 @@
 """Constacyclic codes stored by check set.
 
-A code setting is the triple (F_q, n, lambda) with gcd(n, q) = 1; the
+A code setting is the value (F_q, n, lambda) with gcd(n, q) = 1, lambda
+a nonzero label of F_q and r its order, which the field finds once; the
 codes of exponent t live in R_{n,lambda^t} = F_q[X]/(X^n - lambda^t) and
 are determined by a check set inside P_{n,lambda^t}, the residues mod nr
 congruent to t mod r.  Check and generator polynomials are cached lazily,
@@ -21,7 +22,7 @@ from itertools import repeat
 from . import gf
 from .arith import MAX_MODULUS, factorize
 from .errors import Internal, NonUnit, NotInvariant, SettingMismatch, TooLarge
-from .gf import FieldElement, FieldSpec, Poly
+from .gf import FieldSpec, Poly
 
 _ENUM_LIMIT = 1 << 25
 _BLOCK = 1 << 16
@@ -39,29 +40,30 @@ def _check_witness_length(n: int) -> None:
         raise TooLarge(f"length {n} exceeds the 2^22 witness cap")
 
 
+@dataclass(frozen=True)
 class CodeSetting:
     """The ambient data (q, n, lambda) with its derived constants.
 
-    The index modulus nr is held to the 2^31 residue cap, checked
-    before n is ever factored.
+    lambda is a label of the field.  The index modulus nr is held to the
+    2^31 residue cap, checked before n is ever factored.
     """
 
-    def __init__(self, field: FieldSpec, n: int, lam):
-        if not isinstance(lam, FieldElement):
-            lam = field.element(int(lam))
-        if lam.field is not field:
-            raise SettingMismatch("lambda belongs to a different field")
+    field: FieldSpec
+    n: int
+    lam: int
+
+    def __post_init__(self):
+        field, n, lam = self.field, self.n, self.lam
+        if not 0 <= lam < field.q:
+            raise ValueError(f"label {lam} out of range for {field!r}")
         if n < 1:
             raise ValueError(f"length must be positive, got {n}")
         if n % field.p == 0:
             raise ValueError(
                 f"length {n} shares a factor with the characteristic {field.p}"
             )
-        if lam.label == 0:
+        if lam == 0:
             raise ValueError("lambda must be a nonzero field element")
-        self.field = field
-        self.n = n
-        self.lam = lam
         if self.nr > MAX_MODULUS:
             raise TooLarge(f"modulus n*r = {self.nr} exceeds the 2^31 cap")
 
@@ -71,7 +73,7 @@ class CodeSetting:
 
     @cached_property
     def r(self) -> int:
-        return self.field.order_of(self.lam.label)
+        return self.field.order_of(self.lam)
 
     @property
     def nr(self) -> int:
@@ -101,7 +103,7 @@ class CodeSetting:
 
     def lam_power(self, e: int) -> int:
         """Label of lambda**e (exponents live mod r)."""
-        return self.field.pow(self.lam.label, e % self.r)
+        return self.field.pow(self.lam, e % self.r)
 
     def unit_check(self, t: int) -> int:
         t %= self.nr
@@ -122,32 +124,20 @@ class CodeSetting:
         """X**n - lambda**t."""
         return gf.poly_x_pow_minus(self.field, self.n, self.lam_power(t))
 
-    def _key(self):
-        return (self.field, self.n, self.lam.label)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CodeSetting) and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
     def __repr__(self) -> str:
-        lam = gf.element_to_text(self.field, self.lam.label)
+        lam = gf.element_to_text(self.field, self.lam)
         return f"CodeSetting(q={self.q}, n={self.n}, lambda={lam})"
 
 
-@lru_cache(maxsize=None)
-def _setting_cached(field: FieldSpec, n: int, lam_label: int) -> CodeSetting:
-    return CodeSetting(field, n, lam_label)
+_setting_cached = lru_cache(maxsize=None)(CodeSetting)
 
 
 def make_setting(q: int, n: int, lam) -> CodeSetting:
-    """Convenience constructor from the field order."""
+    """The setting of the field of order q, one per (q, n, lambda); lambda
+    is a label or its text."""
     field = gf.field_for_order(q)
     if isinstance(lam, str):
         lam = gf.element_from_text(field, lam)
-    elif isinstance(lam, FieldElement):
-        lam = lam.label
     return _setting_cached(field, n, int(lam))
 
 
@@ -441,7 +431,7 @@ def code_report(code: ConstaCode, distance=None) -> dict:
         "q": st.q,
         "n": st.n,
         "r": st.r,
-        "lambda": gf.element_to_text(st.field, st.lam.label),
+        "lambda": gf.element_to_text(st.field, st.lam),
         "t": code.t,
         "check_set": list(code.check.elems),
         "dimension": code.dim,

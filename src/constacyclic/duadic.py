@@ -636,7 +636,7 @@ def certificate(sp: Splitting) -> dict:
         "q": st.q,
         "n": st.n,
         "r": st.r,
-        "lambda": gf.element_to_text(st.field, st.lam.label),
+        "lambda": gf.element_to_text(st.field, st.lam),
         "t": sp.t,
         "s": sp.s,
         "kind": sp.kind.value,

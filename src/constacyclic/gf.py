@@ -23,8 +23,12 @@ embeds by identity: F_p is labels 0..p-1 of every extension.
 
 Scalar arithmetic works on labels directly.  An odd-characteristic
 product is reduced by the modulus itself, and the field-size cap is
-decided from the degree, before any power is built.  least_of_order
-scans labels for the least of order r; primitive is r = q - 1.  Fields
+decided from the degree, before any power is built.  A constacyclic
+unit lambda is a plain label too.  has_order is the one order-r test
+(a**r = 1 and a**(r/ell) != 1 for each prime ell | r): least_of_order
+scans labels with it for the least of order r, primitive is r = q - 1,
+and build_tower closes with it at r = nr.  order_of finds each label's
+order once per field and keeps it on the FieldSpec.  Fields
 of order at most 1024 also offer numpy (add, mul) tables: mul is one
 gather from the field's exp/log pair over the primitive element, add is
 built one base-p digit at a time.  Only np_tables imports numpy.
@@ -158,6 +162,7 @@ class FieldSpec:
             x = [(lo + x[-1] * t) % p for lo, t in zip([0] + x[:-1], tail)]
         self._fold = tuple(fold)
         self._np_tables = None
+        self._orders: dict[int, int] = {}
 
     # -- coordinates ------------------------------------------------------
 
@@ -172,7 +177,7 @@ class FieldSpec:
     def from_coords(self, cs) -> int:
         a = 0
         for c in reversed(tuple(cs)):
-            a = a * self.p + c % self.p
+            a = a * self.p + c
         return a
 
     # -- ring operations ---------------------------------------------------
@@ -257,35 +262,36 @@ class FieldSpec:
         return self.pow(a, self.q - 2)
 
     def order_of(self, a: int) -> int:
-        """Multiplicative order of a nonzero element."""
-        if a == 0:
-            raise DivideByZero("zero has no multiplicative order")
-        k = self.q - 1
-        for p, _ in factorize(k):
-            while k % p == 0 and self.pow(a, k // p) == 1:
-                k //= p
+        """Multiplicative order of a nonzero element, found once per label."""
+        k = self._orders.get(a)
+        if k is None:
+            if a == 0:
+                raise DivideByZero("zero has no multiplicative order")
+            if not 0 < a < self.q:
+                raise ValueError(f"label {a} out of range for {self!r}")
+            k = self.q - 1
+            for p, _ in factorize(k):
+                while k % p == 0 and self.pow(a, k // p) == 1:
+                    k //= p
+            self._orders[a] = k
         return k
 
+    def has_order(self, a: int, r: int) -> bool:
+        """a**r == 1 and a**(r // ell) != 1 for each prime ell | r."""
+        return self.pow(a, r) == 1 and all(
+            self.pow(a, r // ell) != 1 for ell, _ in factorize(r)
+        )
+
     def least_of_order(self, r: int) -> int | None:
-        """Least a with a**r == 1 and a**(r // ell) != 1 for each prime
-        ell | r: the least label of order r, None if r does not divide q - 1."""
+        """The least label of order r, None if r does not divide q - 1."""
         if r < 1 or (self.q - 1) % r:
             return None
-        primes = [ell for ell, _ in factorize(r)]
-        return next(
-            a for a in range(1, self.q)
-            if self.pow(a, r) == 1 and all(self.pow(a, r // ell) != 1 for ell in primes)
-        )
+        return next(a for a in range(1, self.q) if self.has_order(a, r))
 
     @cached_property
     def primitive(self) -> int:
         """Least label of multiplicative order q - 1, found once per field."""
         return self.least_of_order(self.q - 1)
-
-    def element(self, label: int) -> "FieldElement":
-        if not 0 <= label < self.q:
-            raise ValueError(f"label {label} out of range for {self!r}")
-        return FieldElement(self, label)
 
     # -- vectorized tables --------------------------------------------------
 
@@ -511,13 +517,10 @@ def _poly_divmod(F: FieldSpec, a, b) -> tuple[list[int], list[int]]:
 
 @dataclass(frozen=True)
 class FieldElement:
-    """A field element carried together with its field."""
+    """A label boxed with its field: what mds.default_lambda returns."""
 
     field: FieldSpec
     label: int
-
-    def __repr__(self) -> str:
-        return f"{element_to_text(self.field, self.label)} in {self.field!r}"
 
 
 # ---------------------------------------------------------------------------
@@ -615,20 +618,19 @@ def element_to_text(field: FieldSpec, label: int) -> str:
 
 
 def element_from_text(field: FieldSpec, text: str) -> int:
+    """The label of an element's text: a bare integer over a prime field,
+    otherwise m coordinates in [0, p), separated by spaces or commas."""
     parts = text.replace(",", " ").split()
-    if field.m == 1:
-        if len(parts) != 1:
-            raise ValueError(f"expected one coordinate, got {text!r}")
-        label = int(parts[0])
-    else:
-        if len(parts) != field.m:
-            raise ValueError(
-                f"expected {field.m} coordinates for {field!r}, got {text!r}"
-            )
-        label = field.from_coords(int(c) for c in parts)
-    if not 0 <= label < field.q:
+    if field.m == 1 and len(parts) != 1:
+        raise ValueError(f"expected one coordinate, got {text!r}")
+    if len(parts) != field.m:
+        raise ValueError(
+            f"expected {field.m} coordinates for {field!r}, got {text!r}"
+        )
+    digits = [int(c) for c in parts]
+    if not all(0 <= c < field.p for c in digits):
         raise ValueError(f"element {text!r} out of range for {field!r}")
-    return label
+    return field.from_coords(digits)
 
 
 def poly_to_text(poly: Poly) -> str:
@@ -724,7 +726,7 @@ def build_tower(setting) -> FieldTower:
     """
     F: FieldSpec = setting.field
     n, r, nr = setting.n, setting.r, setting.nr
-    lam = setting.lam.label
+    lam = setting.lam
     d = _mult_order(F.q % nr, nr) if nr > 1 else 1
     ext = make_field(F.p, F.m * d)
 
@@ -769,7 +771,7 @@ def build_tower(setting) -> FieldTower:
     if not candidates:
         raise Internal("no admissible root of unity found")
     theta = min(candidates, key=ext.coords)
-    if ext.order_of(theta) != nr:
+    if not ext.has_order(theta, nr):
         raise Internal("chosen root of unity has the wrong order")
 
     return FieldTower(F, ext, d, nr, embed_table, theta)

@@ -64,23 +64,22 @@ def grs_plan(q: int) -> GrsPlan:
 
 
 def default_lambda(field: FieldSpec, r: int) -> FieldElement:
-    """Least-label element of multiplicative order r."""
+    """Least-label element of multiplicative order r, boxed with its field."""
     a = field.least_of_order(r)
     if a is None:
         raise BadLambda(f"no element of order {r} in {field!r}")
-    return field.element(a)
+    return FieldElement(field, a)
 
 
-def _resolve(plan: GrsPlan, lam) -> CodeSetting:
+def _resolve(plan: GrsPlan, lam: int | None) -> CodeSetting:
+    """The plan's setting; lambda defaults to the least label of order r,
+    which exists because r divides q - 1."""
     field = gf.field_for_order(plan.q)
     if lam is None:
-        lam = default_lambda(field, plan.r)
-    elif not isinstance(lam, FieldElement):
-        lam = field.element(int(lam))
-    order = field.order_of(lam.label)
-    if order != plan.r:
+        lam = field.least_of_order(plan.r)
+    elif (order := field.order_of(lam)) != plan.r:
         raise BadLambda(f"lambda must have order {plan.r}, got order {order}")
-    return make_setting(plan.q, plan.n, lam.label)
+    return make_setting(plan.q, plan.n, lam)
 
 
 def grs_splitting(plan: GrsPlan, lam=None) -> Splitting:
@@ -112,9 +111,7 @@ def mds_report(q: int, lam=None) -> dict:
     out = {
         "q": q,
         "n": plan.n,
-        "lambda": gf.element_to_text(
-            sp.setting.field, sp.setting.lam.label
-        ),
+        "lambda": gf.element_to_text(sp.setting.field, sp.setting.lam),
         "s": plan.s,
         "d_expected": d_expected,
     }

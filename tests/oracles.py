@@ -250,7 +250,7 @@ def ring_mul(setting, t: int, a, b) -> tuple:
     """Product of two words in R_{n,lambda^t}: the schoolbook product,
     folded with X**n = lambda**t."""
     F, n = setting.field, setting.n
-    lam_t = _power(F, setting.lam.label, t % setting.r)
+    lam_t = _power(F, setting.lam, t % setting.r)
     prod = [0] * (2 * n - 1)
     for i, ai in enumerate(a):
         if ai:

@@ -65,7 +65,7 @@ def expected_failures(cert) -> list:
     failed = [name for name, ok in ref if not ok]
     if "P0" in cert and sorted(cert["P0"]) != list(oracles.p0_filter(setting, t)):
         failed.append("p0-matches")
-    lam = setting.lam.label
+    lam = setting.lam
     if "r" in cert and cert["r"] != oracles.element_order(setting.field, lam):
         failed.append("r-matches")
     return failed

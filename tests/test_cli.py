@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -212,7 +213,7 @@ class TestSplitVerify:
                 continue
             from constacyclic import gf
 
-            lam_text = gf.element_to_text(st.field, st.lam.label)
+            lam_text = gf.element_to_text(st.field, st.lam)
             code, out, _ = run(
                 capsys,
                 "split",
@@ -338,6 +339,23 @@ class TestAtlas:
         )
         assert true_count == expected
 
+    @pytest.mark.parametrize(
+        "box, digest",
+        [
+            ((), "3bda1776aaafad0b93b1ba186dbf31d033cc28e74ab45e5cecfda002d65d6111"),
+            (
+                ("--max-q", "256", "--max-n", "12"),
+                "7c3d4904a006de7dcc245185681db893df8d05bb010ba744b46910909aa8c858",
+            ),
+        ],
+    )
+    def test_output_pinned(self, capsys, box, digest):
+        """sha256 of the whole stdout, recorded before lambda became a
+        plain label and mds and atlas took field.least_of_order."""
+        code, out, _ = run(capsys, "atlas", *box)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_deterministic(self, capsys):
         _, out1, _ = run(capsys, "atlas", "--max-q", "3", "--max-n", "6")
         _, out2, _ = run(capsys, "atlas", "--max-q", "3", "--max-n", "6")
@@ -412,6 +430,23 @@ class TestUsageErrors:
         assert code == 2
         assert out == ""
         assert "error" in err
+
+    @pytest.mark.parametrize("lam", ["1 2", "3 0", "-1 0"])
+    def test_lambda_coordinate_out_of_range(self, capsys, lam):
+        """Each coordinate of an extension-field element lies in [0, p);
+        none is reduced mod p."""
+        code, out, err = run(capsys, "exists", "--q", "4", "--n", "5", "--lambda", lam)
+        assert (code, out) == (2, "")
+        assert err == f"error: element '{lam}' out of range for GF(4)\n"
+
+    def test_certificate_lambda_coordinate_out_of_range(self, capsys, monkeypatch):
+        code, out, _ = run(capsys, "split", "--q", "4", "--n", "5", "--lambda", "1 0")
+        assert code == 0
+        cert = {**json.loads(out), "lambda": "1 2"}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(cert)))
+        code, out, err = run(capsys, "verify")
+        assert (code, out) == (2, "")
+        assert err == "error: element '1 2' out of range for GF(4)\n"
 
     def test_bad_q(self, capsys):
         code, out, err = run(capsys, "mds", "--q", "7")

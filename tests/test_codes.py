@@ -52,6 +52,12 @@ class TestSettings:
         assert (st5.r, st5.nr, st5.n_r, st5.n_r_prime) == (4, 24, 2, 3)
         assert (st13.r, st13.nr, st13.n_r, st13.n_r_prime) == (4, 56, 2, 7)
 
+    def test_lambda_is_a_label(self):
+        st = make_setting(4, 5, "0 1")
+        assert st is make_setting(4, 5, "0,1")
+        assert st is make_setting(4, 5, 2)
+        assert type(st.lam) is int and st.lam == 2
+
     def test_rejects_bad_length(self):
         with pytest.raises(ValueError):
             make_setting(5, 10, 2)

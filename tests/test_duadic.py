@@ -124,7 +124,7 @@ class TestC0Poly:
     def test_goldens(self, st5, st4):
         assert poly_to_text(c0_check_poly(st5)) == "2 0 1"
         f = c0_check_poly(st4)
-        assert f.coeffs == (st4.lam.label, 0, 0, 1)
+        assert f.coeffs == (st4.lam, 0, 0, 1)
 
     def test_n_r_one_is_linear(self):
         st = make_setting(2, 7, 1)

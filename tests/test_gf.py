@@ -177,9 +177,26 @@ class TestFieldArithmetic:
             orders = [element_order(F, a) for a in range(1, q)]
             for r in divisors(q - 1):
                 assert F.least_of_order(r) == orders.index(r) + 1, (q, r)
+                for a, order in enumerate(orders, 1):
+                    assert F.has_order(a, r) == (order == r), (q, r, a)
             assert F.primitive == orders.index(q - 1) + 1
             assert F.least_of_order(q) is None
             assert F.least_of_order(0) is None
+
+    def test_order_found_once_per_label(self, monkeypatch):
+        F = make_field(2, 8)
+        calls = []
+        pow_ = gf.FieldSpec.pow
+
+        def counted(self, a, e):
+            calls.append((a, e))
+            return pow_(self, a, e)
+
+        monkeypatch.setattr(gf.FieldSpec, "pow", counted)
+        first = F.order_of(77)
+        calls.clear()
+        assert F.order_of(77) == first
+        assert calls == []
 
     def test_coords_round_trip(self):
         F = make_field(3, 3)
@@ -263,7 +280,7 @@ class TestTower:
             st = make_setting(*args)
             tw = st.tower
             assert tw.ext.order_of(tw.theta) == st.nr
-            assert tw.ext.pow(tw.theta, st.n) == tw.embed(st.lam.label)
+            assert tw.ext.pow(tw.theta, st.n) == tw.embed(st.lam)
 
     def test_embed_is_a_homomorphism(self):
         st = make_setting(4, 21, 2)
@@ -289,7 +306,7 @@ class TestTower:
             tw = st.tower
             E = tw.ext
             zeta = E.pow(E.primitive, (E.q - 1) // nr)
-            lam = tw.embed(st.lam.label)
+            lam = tw.embed(st.lam)
             best = None
             for k in range(nr):
                 zk = E.pow(zeta, k)
@@ -326,7 +343,7 @@ class TestPolyFromRootSet:
     def test_golden_f4(self):
         st = make_setting(4, 21, 2)
         f = poly_from_root_set(st.tower, (7, 28, 49))
-        assert f == poly_x_pow_minus(st.field, 3, st.lam.label)
+        assert f == poly_x_pow_minus(st.field, 3, st.lam)
 
     def test_empty_set(self):
         st = make_setting(5, 6, 2)

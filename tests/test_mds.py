@@ -113,6 +113,9 @@ class TestPair:
     def test_bad_lambda_rejected(self):
         with pytest.raises(BadLambda):
             grs_splitting(grs_plan(13), 12)  # order 2, need order 4
+        # a label is refused before its order is asked: 25 = 12 mod 13
+        with pytest.raises(ValueError, match="^label 25 out of range for GF"):
+            grs_splitting(grs_plan(13), 25)
 
     def test_small_instance_reproduces_the_factorization(self):
         plan = grs_plan(5)
