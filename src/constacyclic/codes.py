@@ -138,7 +138,7 @@ def make_setting(q: int, n: int, lam) -> CodeSetting:
     field = gf.field_for_order(q)
     if isinstance(lam, str):
         lam = gf.element_from_text(field, lam)
-    return _setting_cached(field, n, int(lam))
+    return _setting_cached(field, n, operator.index(lam))
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,7 +12,12 @@ A FieldTower places F_q inside the minimal extension F_{q^d} containing
 a primitive nr-th root of unity theta with theta**n equal to the
 embedded constacyclic unit; theta is the candidate with the
 lexicographically least coordinate vector, so towers are reproducible
-too.  poly_from_root_set multiplies, over F_q, the minimal polynomials
+too.  build_tower reads theta and its powers from one table, the nr
+powers of zeta = g**((Q - 1)/nr).  Over an extension base X maps to rho,
+the least-coordinate root of the base modulus; the roots are the
+Frobenius orbit sigma, sigma**p, ... of the first root a walk over the
+subfield meets, and each label's image costs one multiply.
+poly_from_root_set multiplies, over F_q, the minimal polynomials
 of the q-cosets of its root set.  Each tower expands a coset's minimal
 polynomial prod(X - theta**x) once, multiplying the linear factors over
 the extension in pairs, then pairs of pairs, by packed products (below),
@@ -338,7 +343,7 @@ class FieldSpec:
 
 
 @lru_cache(maxsize=None)
-def make_field(p: int, m: int = 1) -> FieldSpec:
+def make_field(p: int, m: int, /) -> FieldSpec:
     """F_{p^m} with the lexicographically least irreducible modulus."""
     if p < 2 or factorize(p) != ((p, 1),):
         raise NotPrime(f"{p} is not prime")
@@ -650,21 +655,19 @@ class FieldTower:
 
     theta has multiplicative order nr and theta**n is the embedded
     constacyclic unit, so theta's exponents index the roots of
-    X**n - lambda**t for every unit t mod nr.
+    X**n - lambda**t for every unit t mod nr; theta_pows[j] is theta**j.
     """
 
-    def __init__(self, base: FieldSpec, ext: FieldSpec, d: int, nr: int,
-                 embed_table: tuple[int, ...] | None, theta: int):
+    def __init__(self, base: FieldSpec, ext: FieldSpec, d: int,
+                 embed_table: list[int] | None,
+                 theta_pows: tuple[int, ...]):
         self.base = base
         self.ext = ext
         self.d = d
-        self.nr = nr
+        self.nr = len(theta_pows)
         self._embed_table = embed_table
-        self.theta = theta
-        pows = [1]
-        for _ in range(nr - 1):
-            pows.append(ext.mul(pows[-1], theta))
-        self.theta_pows = tuple(pows)
+        self.theta_pows = theta_pows
+        self.theta = theta_pows[1 % self.nr]  # 1 when nr = 1
         self._project_map: dict[int, int] | None = None
         self._min_polys: dict[int, Poly] = {}
 
@@ -721,12 +724,12 @@ def build_tower(setting) -> FieldTower:
     """Minimal extension of the setting's field holding a suitable theta.
 
     Reached only through CodeSetting.tower, which caches it.  theta is
-    the lexicographically least coordinate vector among elements of
-    order nr whose n-th power is the embedded unit.
+    the least-coordinate zeta**k, k a unit mod nr, with zeta**(k*n) the
+    embedded unit; theta**j = zeta**(k*j) from the same table, and rho is
+    the least of the Frobenius orbit of the subfield walk's first root.
     """
     F: FieldSpec = setting.field
-    n, r, nr = setting.n, setting.r, setting.nr
-    lam = setting.lam
+    n, nr = setting.n, setting.nr
     d = _mult_order(F.q % nr, nr) if nr > 1 else 1
     ext = make_field(F.p, F.m * d)
 
@@ -735,46 +738,37 @@ def build_tower(setting) -> FieldTower:
         # the prime field holds labels 0..p-1 of every extension
         embed_table = None
     else:
-        # the base generator maps to a root of the base modulus inside
-        # the subfield of order q
         h = ext.pow(g, (ext.q - 1) // (F.q - 1))
-        mu = Poly(ext, tuple(F.modulus))
-        roots, x = [], 1
+        mu, sigma = Poly(ext, F.modulus), 1
         for _ in range(F.q - 1):
-            if mu(x) == 0:
-                roots.append(x)
-            x = ext.mul(x, h)
-        if not roots:
+            if mu(sigma) == 0:
+                break
+            sigma = ext.mul(sigma, h)
+        else:
             raise Internal("base modulus has no root in the extension")
-        rho = min(roots, key=ext.coords)
-        # a = sum c_i X**i maps to sum c_i rho**i
-        embed_table = tuple(Poly(ext, F.coords(a))(rho) for a in range(F.q))
+        orbit = [sigma]
+        for _ in range(F.m - 1):
+            orbit.append(ext.pow(orbit[-1], F.p))
+        rho = min(orbit, key=ext.coords)
+        # a = c + p*b, for the digit c < p, maps to c + rho * image(b)
+        embed_table = list(range(F.p))
+        for a in range(F.p, F.q):
+            embed_table.append(ext.add(a % F.p, ext.mul(rho, embed_table[a // F.p])))
 
-    lam_ext = lam if embed_table is None else embed_table[lam]
+    lam_ext = setting.lam if embed_table is None else embed_table[setting.lam]
     zeta = ext.pow(g, (ext.q - 1) // nr)
-    # w = zeta**n has order r, so (zeta**k)**n = w**k equals the unit
-    # exactly when k = k0 (mod r) for the k0 < r with w**k0 = lam_ext
-    w = ext.pow(zeta, n)
-    k0, wk = 0, 1
-    while wk != lam_ext:
-        k0, wk = k0 + 1, ext.mul(wk, w)
-        if k0 == r:
-            raise Internal("the unit is not a power of zeta**n")
-    step = ext.pow(zeta, r)
-    candidates = []
-    zk = ext.pow(zeta, k0)
-    for k in range(k0, nr, r):
-        if k > k0:
-            zk = ext.mul(zk, step)
-        if math.gcd(k, nr) == 1:
-            candidates.append(zk)
-    if not candidates:
+    pows = [1]
+    for _ in range(nr - 1):
+        pows.append(ext.mul(pows[-1], zeta))
+    units = [k for k in range(nr) if pows[k * n % nr] == lam_ext and math.gcd(k, nr) == 1]
+    if not units:
         raise Internal("no admissible root of unity found")
-    theta = min(candidates, key=ext.coords)
-    if not ext.has_order(theta, nr):
+    k = min(units, key=lambda k: ext.coords(pows[k]))
+    theta_pows = tuple(pows[k * j % nr] for j in range(nr))
+    if not ext.has_order(theta_pows[1 % nr], nr):
         raise Internal("chosen root of unity has the wrong order")
 
-    return FieldTower(F, ext, d, nr, embed_table, theta)
+    return FieldTower(F, ext, d, embed_table, theta_pows)
 
 
 def poly_from_root_set(tower: FieldTower, root_exponents) -> Poly:

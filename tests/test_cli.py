@@ -303,6 +303,36 @@ class TestCodeReports:
         )
         assert code == 1 and json.loads(out)["iso_orthogonal"] is False
 
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["mds", "--q", "81"],
+             "c0964071b901bd22a7df3c2e2d0dfb4d080ec16b685be2bb6ca6448c7002a502"),
+            (["mds", "--q", "125"],
+             "8738f423a0a239f9b890ebea6e366c4ec4d492339f298b7a454eee023c29fd6d"),
+            (["mds", "--q", "169"],
+             "4e87869f6d1baf2f34679a40559b7dee0acd471cc681cba36bca977b56394556"),
+            (["split", "--q", "27", "--n", "28", "--lambda", "2 0 0"],
+             "d84828cf956a8ba4e0109108f0cc94b8475d94eb3b235c7fb507aed9a00c04e1"),
+            (["split", "--q", "64", "--n", "65", "--lambda", "1 0 0 0 0 0"],
+             "82d85aba61c85141ae3f23c4419c2785b6f851ca5848b6e74365f270f7f4543d"),
+            (["code", "--q", "128", "--n", "129", "--lambda", "1 0 0 0 0 0 0",
+              "--P", "1,128", "--distance"],
+             "bc646f101c515d33a7825729db8a359a5e7fa6822f2b2912377e1a3baab4762e"),
+            (["code", "--q", "32", "--n", "33", "--lambda", "1 0 0 0 0",
+              "--P", "1,32", "--distance"],
+             "93dac9cf06c92adbdc134787a7ba51c1b10d67197f769282b407c7072e9603d1"),
+        ],
+        ids=["mds-81", "mds-125", "mds-169", "split-27", "split-64", "code-128", "code-32"],
+    )
+    def test_tower_outputs_pinned(self, capsys, argv, digest):
+        """sha256 of the whole stdout over odd extension bases and
+        characteristic-2 bases of degree 5-7, which no benchmark golden
+        covers; recorded before theta and rho were read from one walk."""
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestMds:
     def test_q5(self, capsys):

@@ -57,6 +57,9 @@ class TestSettings:
         assert st is make_setting(4, 5, "0,1")
         assert st is make_setting(4, 5, 2)
         assert type(st.lam) is int and st.lam == 2
+        # a float is refused, not truncated, as the text "5.9" is
+        with pytest.raises(TypeError):
+            make_setting(13, 14, 5.9)
 
     def test_rejects_bad_length(self):
         with pytest.raises(ValueError):

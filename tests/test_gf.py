@@ -112,7 +112,13 @@ class TestMakeField:
         assert time.perf_counter() - t0 < 0.5
 
     def test_instances_cached(self):
+        """One instance per field: one call form, so one cache key."""
         assert make_field(3, 2) is make_field(3, 2)
+        assert make_field(2, 2) is gf.field_for_order(4)
+        with pytest.raises(TypeError):
+            make_field(2)
+        with pytest.raises(TypeError):
+            make_field(p=2, m=2)
 
     def test_field_for_order_refuses_huge_q_unfactored(self, monkeypatch):
         from constacyclic import gf
@@ -281,6 +287,7 @@ class TestTower:
             tw = st.tower
             assert tw.ext.order_of(tw.theta) == st.nr
             assert tw.ext.pow(tw.theta, st.n) == tw.embed(st.lam)
+            assert all(tw.theta_pows[j] == tw.ext.pow(tw.theta, j) for j in range(st.nr))
 
     def test_embed_is_a_homomorphism(self):
         st = make_setting(4, 21, 2)
@@ -316,6 +323,37 @@ class TestTower:
             assert tw.theta == best, st
             checked += 1
         assert checked > 300
+
+    def test_embedding_matches_bruteforce_rule(self, sweep):
+        """X maps to the least-coordinate root of the base modulus mu, found
+        by evaluating mu at every extension element, and a label with
+        coordinates c_i maps to sum c_i rho**i.
+
+        Once per (base, extension) pair of the sweep with an extension
+        base and at most 2**12 extension elements.
+        """
+        pairs = {}
+        for st in sweep:
+            nr = st.nr
+            d = _mult_order(st.q % nr, nr) if nr > 1 else 1
+            if st.field.m > 1 and d > 1 and st.q**d <= 1 << 12:
+                pairs.setdefault((st.q, d), st)
+        assert sorted(pairs) == [
+            (4, 2), (4, 3), (4, 4), (4, 5), (4, 6), (8, 2), (8, 4),
+            (9, 2), (9, 3), (16, 2), (16, 3),
+        ]
+        for st in pairs.values():
+            tw = st.tower
+            F, E = tw.base, tw.ext
+            mu = Poly(E, F.modulus)
+            roots = [x for x in range(E.q) if mu(x) == 0]
+            rho = min(roots, key=E.coords)
+            assert len(roots) == F.m and tw.embed(F.p) == rho, st
+            for a in range(F.q):
+                image = 0
+                for i, c in enumerate(F.coords(a)):
+                    image = E.add(image, E.mul(c, E.pow(rho, i)))
+                assert tw.embed(a) == image, (st, a)
 
     def test_project_inverts_embed(self):
         tw = make_setting(9, 8, 2).tower
