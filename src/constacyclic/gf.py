@@ -14,9 +14,11 @@ embedded constacyclic unit; theta is the candidate with the
 lexicographically least coordinate vector, so towers are reproducible
 too.  build_tower reads theta and its powers from one table, the nr
 powers of zeta = g**((Q - 1)/nr).  Over an extension base X maps to rho,
-the least-coordinate root of the base modulus; the roots are the
-Frobenius orbit sigma, sigma**p, ... of the first root a walk over the
-subfield meets, and each label's image costs one multiply.
+the least-coordinate root of the base modulus mu, found by evaluating mu
+at every element of the subfield at once, and the labels with j + 1
+base-p digits are embedded from those with j.  Each of these tables is a
+few packed products of a vector by one scalar (below), not one scalar
+multiply per entry.
 poly_from_root_set multiplies, over F_q, the minimal polynomials
 of the q-cosets of its root set.  Each tower expands a coset's minimal
 polynomial prod(X - theta**x) once, multiplying the linear factors over
@@ -30,7 +32,8 @@ Scalar arithmetic works on labels directly.  An odd-characteristic
 product is reduced by the modulus itself, and the field-size cap is
 decided from the degree, before any power is built.  A constacyclic
 unit lambda is a plain label too.  has_order is the one order-r test
-(a**r = 1 and a**(r/ell) != 1 for each prime ell | r): least_of_order
+(a**r = 1, skipped at r = q - 1 where it always holds, and
+a**(r/ell) != 1 for each prime ell | r): least_of_order
 scans labels with it for the least of order r, primitive is r = q - 1,
 and build_tower closes with it at r = nr.  order_of finds each label's
 order once per field and keeps it on the FieldSpec.  Fields
@@ -282,10 +285,14 @@ class FieldSpec:
         return k
 
     def has_order(self, a: int, r: int) -> bool:
-        """a**r == 1 and a**(r // ell) != 1 for each prime ell | r."""
-        return self.pow(a, r) == 1 and all(
-            self.pow(a, r // ell) != 1 for ell, _ in factorize(r)
-        )
+        """a**r == 1 and a**(r // ell) != 1 for each prime ell | r.
+
+        a**(q - 1) == 1 holds for every nonzero a (Lagrange), so at
+        r = q - 1 only the prime divisors are tested.
+        """
+        if a == 0 or (r != self.q - 1 and self.pow(a, r) != 1):
+            return False
+        return all(self.pow(a, r // ell) != 1 for ell, _ in factorize(r))
 
     def least_of_order(self, r: int) -> int | None:
         """The least label of order r, None if r does not divide q - 1."""
@@ -593,13 +600,6 @@ class Poly:
             return other.is_zero
         return (other % self).is_zero
 
-    def __call__(self, x: int) -> int:
-        F = self.field
-        y = 0
-        for c in reversed(self.coeffs):
-            y = F.add(F.mul(y, x), c)
-        return y
-
     def __repr__(self) -> str:
         return f"Poly({poly_to_text(self)!r} over {self.field!r})"
 
@@ -720,13 +720,70 @@ class FieldTower:
         return f"FieldTower({self.base!r} in {self.ext!r}, d={self.d})"
 
 
+def _powers(F: FieldSpec, z: int, count: int) -> list[int]:
+    """[z**0, ..., z**(count - 1)] for count >= 1.
+
+    A short table grows by scalar multiplies, since a packed product has
+    a fixed cost of several of them.  After that each round multiplies
+    the last b = min(len, 4096) entries by z**b in one packed product;
+    the cap keeps every packed int small.
+    """
+    pows = [1]
+    while len(pows) < min(count, 16):
+        pows.append(F.mul(pows[-1], z))
+    while len(pows) < count:
+        size = len(pows)
+        b = min(size, 4096)
+        zb = F.mul(pows[-1], z) if b == size else pows[b]
+        pows += _poly_mul(F, pows[size - b:size - b + min(b, count - size)], (zb,))
+    return pows
+
+
+def _base_modulus_roots(F: FieldSpec, ext: FieldSpec) -> list[int]:
+    """The m roots in ext of F's modulus mu, for an extension base F.
+
+    They lie in the subfield of order q, the powers H of
+    h = g**((Q - 1)/(q - 1)).  mu(h**j) = sum c_i * H[i*j mod (q - 1)],
+    every c_i in F_p, so the sum over i of c_i times H packed in the
+    order i*j is mu at every h**j at once, read by one unpack.
+    """
+    k = F.q - 1
+    H = _powers(ext, ext.pow(ext.primitive, (ext.q - 1) // k), k)
+    wb = _slot_bytes(ext, F.m + 1)
+    values = sum(
+        c * _pack(ext, [H[i * j % k] for j in range(k)], wb)
+        for i, c in enumerate(F.modulus) if c
+    )
+    roots = [H[j] for j, v in enumerate(_unpack(ext, values, k, wb)) if not v]
+    if len(roots) != F.m:
+        raise Internal(f"base modulus has {len(roots)} roots in the extension, not {F.m}")
+    return roots
+
+
+def _embedding(F: FieldSpec, ext: FieldSpec, rho: int) -> list[int]:
+    """Image in ext of every label of F, X mapped to rho.
+
+    a = c + p*b, for the digit c < p, maps to c + rho * image(b).  The
+    labels with j + 1 digits come from those with j digits: rho times
+    them in one packed product, then each digit c added to coordinate 0.
+    """
+    p = F.p
+    table = list(range(p))
+    for j in range(1, F.m):
+        level = _poly_mul(ext, table[p ** (j - 1):p**j], (rho,))
+        table += [x - x % p + (x % p + c) % p for x in level for c in range(p)]
+    return table
+
+
 def build_tower(setting) -> FieldTower:
     """Minimal extension of the setting's field holding a suitable theta.
 
     Reached only through CodeSetting.tower, which caches it.  theta is
     the least-coordinate zeta**k, k a unit mod nr, with zeta**(k*n) the
-    embedded unit; theta**j = zeta**(k*j) from the same table, and rho is
-    the least of the Frobenius orbit of the subfield walk's first root.
+    embedded unit; theta**j = zeta**(k*j) from the same table of zeta's
+    powers, and rho is the least-coordinate root of the base modulus.
+    The power table, the root search and the embedding are each a few
+    packed products (_powers, _base_modulus_roots, _embedding).
     """
     F: FieldSpec = setting.field
     n, nr = setting.n, setting.nr
@@ -738,28 +795,11 @@ def build_tower(setting) -> FieldTower:
         # the prime field holds labels 0..p-1 of every extension
         embed_table = None
     else:
-        h = ext.pow(g, (ext.q - 1) // (F.q - 1))
-        mu, sigma = Poly(ext, F.modulus), 1
-        for _ in range(F.q - 1):
-            if mu(sigma) == 0:
-                break
-            sigma = ext.mul(sigma, h)
-        else:
-            raise Internal("base modulus has no root in the extension")
-        orbit = [sigma]
-        for _ in range(F.m - 1):
-            orbit.append(ext.pow(orbit[-1], F.p))
-        rho = min(orbit, key=ext.coords)
-        # a = c + p*b, for the digit c < p, maps to c + rho * image(b)
-        embed_table = list(range(F.p))
-        for a in range(F.p, F.q):
-            embed_table.append(ext.add(a % F.p, ext.mul(rho, embed_table[a // F.p])))
+        rho = min(_base_modulus_roots(F, ext), key=ext.coords)
+        embed_table = _embedding(F, ext, rho)
 
     lam_ext = setting.lam if embed_table is None else embed_table[setting.lam]
-    zeta = ext.pow(g, (ext.q - 1) // nr)
-    pows = [1]
-    for _ in range(nr - 1):
-        pows.append(ext.mul(pows[-1], zeta))
+    pows = _powers(ext, ext.pow(g, (ext.q - 1) // nr), nr)
     units = [k for k in range(nr) if pows[k * n % nr] == lam_ext and math.gcd(k, nr) == 1]
     if not units:
         raise Internal("no admissible root of unity found")

@@ -295,6 +295,14 @@ def element_order(F, a: int) -> int:
     return k
 
 
+def poly_eval(F, coeffs, x: int) -> int:
+    """The polynomial with coefficients coeffs, low-to-high, at x: Horner."""
+    y = 0
+    for c in reversed(coeffs):
+        y = F.add(F.mul(y, x), c)
+    return y
+
+
 def min_distance_bruteforce(code) -> float:
     """Weight scan over every nonzero codeword, no scalar-class tricks."""
     if code.dim == 0:

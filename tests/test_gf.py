@@ -26,6 +26,7 @@ from oracles import (
     cosets,
     element_order,
     least_irreducible_reference,
+    poly_eval,
     poly_from_root_set_reference,
 )
 
@@ -186,8 +187,24 @@ class TestFieldArithmetic:
                 for a, order in enumerate(orders, 1):
                     assert F.has_order(a, r) == (order == r), (q, r, a)
             assert F.primitive == orders.index(q - 1) + 1
+            assert not F.has_order(0, q - 1)
             assert F.least_of_order(q) is None
             assert F.least_of_order(0) is None
+
+    def test_order_q_minus_1_skips_lagrange(self, monkeypatch):
+        """a**(q - 1) = 1 for every nonzero a, so has_order(a, q - 1)
+        raises a only to the powers (q - 1)/ell."""
+        F = make_field(2, 8)
+        exponents = []
+        pow_ = gf.FieldSpec.pow
+
+        def counted(self, a, e):
+            exponents.append(e)
+            return pow_(self, a, e)
+
+        monkeypatch.setattr(gf.FieldSpec, "pow", counted)
+        assert F.has_order(F.primitive, 255)
+        assert sorted(exponents) == [255 // 17, 255 // 5, 255 // 3]
 
     def test_order_found_once_per_label(self, monkeypatch):
         F = make_field(2, 8)
@@ -345,8 +362,7 @@ class TestTower:
         for st in pairs.values():
             tw = st.tower
             F, E = tw.base, tw.ext
-            mu = Poly(E, F.modulus)
-            roots = [x for x in range(E.q) if mu(x) == 0]
+            roots = [x for x in range(E.q) if poly_eval(E, F.modulus, x) == 0]
             rho = min(roots, key=E.coords)
             assert len(roots) == F.m and tw.embed(F.p) == rho, st
             for a in range(F.q):
@@ -354,6 +370,68 @@ class TestTower:
                 for i, c in enumerate(F.coords(a)):
                     image = E.add(image, E.mul(c, E.pow(rho, i)))
                 assert tw.embed(a) == image, (st, a)
+
+    @pytest.mark.parametrize("p, m", [(2, 8), (3, 4), (17, 2), (13, 1)])
+    def test_powers_match_scalar_loop(self, p, m):
+        """The table of z's powers, across the scalar prefix, the doubling
+        rounds and the 4096-entry cap, against one multiply per entry."""
+        F = make_field(p, m)
+        for z in (F.primitive, F.q - 1):
+            expected = [1]
+            for _ in range(8192):
+                expected.append(F.mul(expected[-1], z))
+            for count in (1, 2, 15, 16, 17, 4096, 4097, 8193):
+                assert gf._powers(F, z, count) == expected[:count], (p, m, z, count)
+
+    @pytest.mark.parametrize(
+        "args", [(256, 257, 1), (343, 344, 1), (289, 290, 26)],
+        ids=["GF(2^16)", "GF(7^6)", "GF(17^4)"],
+    )
+    def test_big_field_roots_and_embedding(self, args):
+        """The root search finds exactly the Frobenius orbit of rho, the
+        image of X; the embedding adds and multiplies on sampled pairs."""
+        tw = make_setting(*args).tower
+        F, E = tw.base, tw.ext
+        assert tw.d == 2 and F.m > 1
+        rho = tw.embed(F.p)
+        orbit = [rho]
+        for _ in range(F.m - 1):
+            orbit.append(E.pow(orbit[-1], F.p))
+        roots = gf._base_modulus_roots(F, E)
+        assert sorted(roots) == sorted(orbit) and len(set(orbit)) == F.m
+        assert rho == min(roots, key=E.coords)
+        assert all(poly_eval(E, F.modulus, x) == 0 for x in roots)
+        rng = random.Random(41)
+        for _ in range(500):
+            a, b = rng.randrange(F.q), rng.randrange(F.q)
+            assert tw.embed(F.mul(a, b)) == E.mul(tw.embed(a), tw.embed(b)), (args, a, b)
+            assert tw.embed(F.add(a, b)) == E.add(tw.embed(a), tw.embed(b)), (args, a, b)
+
+    def test_tower_tables_are_packed_products(self, monkeypatch):
+        """The mds --q 289 tower (9,280 powers of zeta in GF(17^4)) builds
+        its tables in packed products of at most 4096 entries and a few
+        scalar multiplies, once the extension's primitive is known."""
+        st = make_setting(289, 290, 26)
+        expected = st.tower
+        assert expected.ext.primitive and expected.nr == 9280
+        sizes, muls = [], []
+        poly_mul, mul = gf._poly_mul, gf.FieldSpec.mul
+
+        def spy(F, a, b):
+            sizes.append(max(len(a), len(b)))
+            return poly_mul(F, a, b)
+
+        def counted(self, a, b):
+            muls.append(a)
+            return mul(self, a, b)
+
+        monkeypatch.setattr(gf, "_poly_mul", spy)
+        monkeypatch.setattr(gf.FieldSpec, "mul", counted)
+        tw = gf.build_tower(st)
+        assert tw.theta_pows == expected.theta_pows
+        assert tw._embed_table == expected._embed_table
+        assert sizes and max(sizes) <= 4096
+        assert len(muls) < 1000
 
     def test_project_inverts_embed(self):
         tw = make_setting(9, 8, 2).tower
