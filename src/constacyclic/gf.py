@@ -6,19 +6,21 @@ vector (c_0, ..., c_{m-1}) over F_p gets the label sum(c_i * p**i), so
 subfield occupies labels 0..p-1 in every field.  The modulus polynomial
 is always the lexicographically least monic irreducible of the right
 degree (coefficients compared low-to-high), which pins every derived
-object down bit-for-bit.
+object down bit-for-bit: the first item of one candidate walk
+(_irreducible_walk), each lower degree's sieve walked once per p.
 
 A FieldTower places F_q inside the minimal extension F_{q^d} containing
 a primitive nr-th root of unity theta with theta**n equal to the
 embedded constacyclic unit; theta is the candidate with the
 lexicographically least coordinate vector, so towers are reproducible
-too.  build_tower reads theta and its powers from one table, the nr
-powers of zeta = g**((Q - 1)/nr).  Over an extension base X maps to rho,
-the least-coordinate root of the base modulus mu, found by evaluating mu
-at every element of the subfield at once, and the labels with j + 1
-base-p digits are embedded from those with j.  Each of these tables is a
-few packed products of a vector by one scalar (below), not one scalar
-multiply per entry.
+too.  build_tower reads theta, its powers and its order from one table,
+the nr powers of zeta = g**((Q - 1)/nr).  Over an extension base X maps
+to rho, the least-coordinate root of the base modulus mu, found by
+evaluating mu at every element of the subfield at once, and the labels
+with j + 1 base-p digits are embedded from those with j.  Each of these
+tables is a few packed products of a vector by one scalar (below), not
+one scalar multiply per entry.  Every table of roots of unity (zeta's,
+the subfield's, np_tables' exp) comes from _root_powers.
 poly_from_root_set multiplies, over F_q, the minimal polynomials
 of the q-cosets of its root set.  Each tower expands a coset's minimal
 polynomial prod(X - theta**x) once, multiplying the linear factors over
@@ -34,12 +36,12 @@ decided from the degree, before any power is built.  A constacyclic
 unit lambda is a plain label too.  has_order is the one order-r test
 (a**r = 1, skipped at r = q - 1 where it always holds, and
 a**(r/ell) != 1 for each prime ell | r): least_of_order
-scans labels with it for the least of order r, primitive is r = q - 1,
-and build_tower closes with it at r = nr.  order_of finds each label's
-order once per field and keeps it on the FieldSpec.  Fields
-of order at most 1024 also offer numpy (add, mul) tables: mul is one
-gather from the field's exp/log pair over the primitive element, add is
-built one base-p digit at a time.  Only np_tables imports numpy.
+scans labels with it for the least of order r, and primitive is
+r = q - 1.  order_of finds each label's order once per field and keeps
+it on the FieldSpec.  Fields of order at most 1024 also offer numpy
+(add, mul) tables: mul is one gather from the field's exp/log pair over
+the primitive element, add is built one base-p digit at a time.  Only
+np_tables imports numpy.
 
 Polynomial products and quotients work on packed ints, a Kronecker
 substitution (von zur Gathen and Gerhard, Modern Computer Algebra,
@@ -97,38 +99,22 @@ def _pf_rem(a, b: tuple[int, ...], p: int) -> list[int]:
     return a[:db]
 
 
-@lru_cache(maxsize=None)
-def _irreducibles(p: int, max_deg: int) -> tuple[tuple[int, ...], ...]:
-    """All monic irreducibles over F_p of degree 1..max_deg, sieved."""
-    found: list[tuple[int, ...]] = []
-    for d in range(1, max_deg + 1):
-        for cs in _iterproduct(range(p), repeat=d):
-            cand = list(cs) + [1]
-            if d > 1 and cand[0] == 0:
-                continue
-            reducible = False
-            for f in found:
-                if len(f) - 1 > d // 2:
-                    break
-                if not any(_pf_rem(cand, f, p)):
-                    reducible = True
-                    break
-            if not reducible:
-                found.append(tuple(cand))
-    return tuple(found)
-
-
-def _least_irreducible(p: int, m: int) -> tuple[int, ...]:
-    # make_field asks only for m >= 2, where X divides every candidate
-    # with constant term 0; starting that term at 1 skips those p**(m-1)
-    # candidates and keeps the lexicographic order, so the modulus found
-    # is unchanged
-    factors = _irreducibles(p, m // 2)
-    for cs in _iterproduct(range(1, p), *[range(p)] * (m - 1)):
+def _irreducible_walk(p: int, d: int):
+    """The monic irreducibles of degree d over F_p, in lexicographic order
+    (coefficients low-to-high): the candidates that no irreducible of
+    degree <= d/2 divides.  Above degree 1 X divides every candidate with
+    constant term 0, so that term starts at 1; the order is kept."""
+    factors = [f for e in range(1, d // 2 + 1) for f in _irreducibles(p, e)]
+    for cs in _iterproduct(range(1 if d > 1 else 0, p), *[range(p)] * (d - 1)):
         cand = list(cs) + [1]
         if all(any(_pf_rem(cand, f, p)) for f in factors):
-            return tuple(cand)
-    raise Internal(f"no irreducible of degree {m} over F_{p}")
+            yield tuple(cand)
+
+
+@lru_cache(maxsize=None)
+def _irreducibles(p: int, d: int) -> tuple[tuple[int, ...], ...]:
+    """All monic irreducibles over F_p of degree d, sieved once per (p, d)."""
+    return tuple(_irreducible_walk(p, d))
 
 
 # ---------------------------------------------------------------------------
@@ -310,9 +296,10 @@ class FieldSpec:
     def np_tables(self):
         """(add, mul) lookup tables as numpy arrays; small fields only.
 
-        mul is one gather from the field's exp/log pair, so building it
-        costs q - 2 scalar multiplications; add is a xor in characteristic
-        2 and otherwise coordinatewise addition, one base-p digit at a time.
+        mul is one gather from the field's exp/log pair, exp the q - 1
+        powers of the primitive element (_root_powers); add is a xor in
+        characteristic 2 and otherwise coordinatewise addition, one base-p
+        digit at a time.
         """
         if self._np_tables is None:
             if self.q > _NP_TABLE_LIMIT:
@@ -322,11 +309,7 @@ class FieldSpec:
             import numpy as np
 
             q, p = self.q, self.p
-            g = self.primitive
-            exp = [1]
-            for _ in range(q - 2):
-                exp.append(self.mul(exp[-1], g))
-            exp = np.array(exp, dtype=np.int16)
+            exp = np.array(_root_powers(self, q - 1), dtype=np.int16)
             log = np.zeros(q, dtype=np.int64)
             log[exp] = np.arange(q - 1)
             mul = exp[(log[:, None] + log[None, :]) % (q - 1)]
@@ -359,7 +342,9 @@ def make_field(p: int, m: int, /) -> FieldSpec:
     # p**21 > 2**20 for every prime, so no large power is built
     if p ** min(m, 21) > MAX_FIELD_SIZE:
         raise TooLarge(f"field size {p}^{m} exceeds 2^20")
-    modulus = (0, 1) if m == 1 else _least_irreducible(p, m)
+    modulus = next(_irreducible_walk(p, m), None)
+    if modulus is None:
+        raise Internal(f"no irreducible of degree {m} over F_{p}")
     return FieldSpec(p, m, modulus)
 
 
@@ -739,6 +724,11 @@ def _powers(F: FieldSpec, z: int, count: int) -> list[int]:
     return pows
 
 
+def _root_powers(F: FieldSpec, k: int) -> list[int]:
+    """The k powers of g**((q - 1)/k), the k-th roots of unity, for k | q - 1."""
+    return _powers(F, F.pow(F.primitive, (F.q - 1) // k), k)
+
+
 def _base_modulus_roots(F: FieldSpec, ext: FieldSpec) -> list[int]:
     """The m roots in ext of F's modulus mu, for an extension base F.
 
@@ -748,7 +738,7 @@ def _base_modulus_roots(F: FieldSpec, ext: FieldSpec) -> list[int]:
     order i*j is mu at every h**j at once, read by one unpack.
     """
     k = F.q - 1
-    H = _powers(ext, ext.pow(ext.primitive, (ext.q - 1) // k), k)
+    H = _root_powers(ext, k)
     wb = _slot_bytes(ext, F.m + 1)
     values = sum(
         c * _pack(ext, [H[i * j % k] for j in range(k)], wb)
@@ -781,16 +771,17 @@ def build_tower(setting) -> FieldTower:
     Reached only through CodeSetting.tower, which caches it.  theta is
     the least-coordinate zeta**k, k a unit mod nr, with zeta**(k*n) the
     embedded unit; theta**j = zeta**(k*j) from the same table of zeta's
-    powers, and rho is the least-coordinate root of the base modulus.
-    The power table, the root search and the embedding are each a few
-    packed products (_powers, _base_modulus_roots, _embedding).
+    powers (_root_powers), and rho is the least-coordinate root of the
+    base modulus.  The power table, the root search and the embedding
+    are each a few packed products (_powers, _base_modulus_roots,
+    _embedding).  theta's order is read from theta_pows: theta**nr is
+    theta_pows[nr - 1] * theta, and each theta**(nr/ell) a lookup.
     """
     F: FieldSpec = setting.field
     n, nr = setting.n, setting.nr
     d = _mult_order(F.q % nr, nr) if nr > 1 else 1
     ext = make_field(F.p, F.m * d)
 
-    g = ext.primitive
     if ext is F or F.m == 1:
         # the prime field holds labels 0..p-1 of every extension
         embed_table = None
@@ -799,13 +790,14 @@ def build_tower(setting) -> FieldTower:
         embed_table = _embedding(F, ext, rho)
 
     lam_ext = setting.lam if embed_table is None else embed_table[setting.lam]
-    pows = _powers(ext, ext.pow(g, (ext.q - 1) // nr), nr)
+    pows = _root_powers(ext, nr)
     units = [k for k in range(nr) if pows[k * n % nr] == lam_ext and math.gcd(k, nr) == 1]
     if not units:
         raise Internal("no admissible root of unity found")
     k = min(units, key=lambda k: ext.coords(pows[k]))
     theta_pows = tuple(pows[k * j % nr] for j in range(nr))
-    if not ext.has_order(theta_pows[1 % nr], nr):
+    if ext.mul(theta_pows[-1], theta_pows[1 % nr]) != 1 or any(
+            theta_pows[nr // ell] == 1 for ell, _ in factorize(nr)):
         raise Internal("chosen root of unity has the wrong order")
 
     return FieldTower(F, ext, d, embed_table, theta_pows)

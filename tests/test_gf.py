@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -18,7 +19,7 @@ from constacyclic import (
     poly_to_text,
 )
 from constacyclic.arith import _mult_order, divisors
-from constacyclic.errors import DivideByZero, NotInvariant, NotPrime, TooLarge
+from constacyclic.errors import DivideByZero, Internal, NotInvariant, NotPrime, TooLarge
 from constacyclic.gf import poly_one, poly_x_pow_minus
 
 from oracles import (
@@ -99,6 +100,50 @@ class TestMakeField:
         }
         for (p, m), modulus in pinned.items():
             assert make_field(p, m).modulus == modulus, (p, m)
+
+    def test_moduli_digest_pinned(self):
+        """Every modulus of degree >= 2 under the cap with p <= 1024, p
+        ascending, then m; the digest was recorded before the candidate
+        walk was shared between the sieve and the modulus search."""
+        fields = []
+        for p in range(2, 1025):
+            if any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+                continue
+            m = 2
+            while p**m <= 1 << 20:
+                fields.append((p, m, make_field(p, m).modulus))
+                m += 1
+        assert len(fields) == 242
+        digest = hashlib.sha256(repr(fields).encode()).hexdigest()
+        assert digest == "0afea9c3a53bbf30538ae5cefd1e0872b001793788067c85189480b60a69c151"
+
+    def test_sieve_shared_per_degree(self, monkeypatch):
+        """GF(2^18) then GF(2^20), from an empty sieve cache: the second
+        field walks only degrees the first did not (10 and 20)."""
+        degrees = []
+        pf_rem = gf._pf_rem
+
+        def spy(a, b, p):
+            degrees[-1].add(len(a) - 1)
+            return pf_rem(a, b, p)
+
+        monkeypatch.setattr(gf, "_pf_rem", spy)
+        gf._irreducibles.cache_clear()
+        try:
+            for m in (18, 20):
+                degrees.append(set())
+                # bypass make_field's cache, keeping its instances as they are
+                field = make_field.__wrapped__(2, m)
+                assert field.modulus == make_field(2, m).modulus
+        finally:
+            gf._irreducibles.cache_clear()
+        assert degrees == [set(range(2, 10)) | {18}, {10, 20}]
+
+    def test_exhausted_walk_is_internal(self, monkeypatch):
+        """An empty candidate walk is a library fault, not a StopIteration."""
+        monkeypatch.setattr(gf, "_irreducible_walk", lambda p, d: iter(()))
+        with pytest.raises(Internal, match="no irreducible of degree 3 over F_5"):
+            make_field.__wrapped__(5, 3)
 
     def test_rejects_bad_input(self):
         with pytest.raises(NotPrime):
@@ -432,6 +477,40 @@ class TestTower:
         assert tw._embed_table == expected._embed_table
         assert sizes and max(sizes) <= 4096
         assert len(muls) < 1000
+
+    def test_theta_order_read_from_table(self, monkeypatch):
+        """The tower's order check makes no has_order call: theta**nr and
+        each theta**(nr/ell) come from theta_pows."""
+        calls = []
+        has_order = gf.FieldSpec.has_order
+
+        def spy(self, a, r):
+            calls.append((self, a, r))
+            return has_order(self, a, r)
+
+        for args in [(13, 14, 5), (4, 21, 2), (289, 290, 26), (5, 1, 1)]:
+            st = make_setting(*args)
+            expected = st.tower  # the extension's primitive is now known
+            monkeypatch.setattr(gf.FieldSpec, "has_order", spy)
+            assert gf.build_tower(st).theta_pows == expected.theta_pows
+            monkeypatch.undo()
+            assert calls == [], args
+
+    @pytest.mark.parametrize("ell", [2, 7])
+    def test_wrong_order_table_raises(self, monkeypatch, ell):
+        """A table of zeta's powers whose entry at nr/ell is 1: zeta**ell
+        in place of zeta, for the cyclic (13, 14, 1), where every unit k
+        is admissible."""
+        st = make_setting(13, 14, 1)
+        st.tower
+        powers = gf._powers
+
+        def wrong(F, z, count):
+            return powers(F, F.pow(z, ell) if count == st.nr else z, count)
+
+        monkeypatch.setattr(gf, "_powers", wrong)
+        with pytest.raises(Internal, match="chosen root of unity has the wrong order"):
+            gf.build_tower(st)
 
     def test_project_inverts_embed(self):
         tw = make_setting(9, 8, 2).tower
