@@ -69,7 +69,7 @@ def _cmd_exists(args) -> int:
         "lambda": gf.element_to_text(setting.field, setting.lam),
         "exists": verdict.exists,
         "reason": verdict.reason,
-        "type1_exists": duadic.exists_type1(setting),
+        "type1_exists": verdict.type1,
     }
     if verdict.witness is not None:
         payload["witness"] = duadic.certificate(verdict.witness)
@@ -193,7 +193,7 @@ def _cmd_atlas(args) -> int:
                     "n": n,
                     "r": r,
                     "lambda": gf.element_to_text(field, lam),
-                    "type1": duadic.exists_type1(setting),
+                    "type1": verdict.type1,
                     "type2": verdict.exists,
                     "reason": verdict.reason,
                 }

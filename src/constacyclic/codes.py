@@ -134,21 +134,22 @@ _setting_cached = lru_cache(maxsize=None)(CodeSetting)
 
 def make_setting(q: int, n: int, lam) -> CodeSetting:
     """The setting of the field of order q, one per (q, n, lambda); lambda
-    is a label or its text."""
+    is a label or its text.  q, n and a label must be integers: a float
+    is refused with TypeError, so none reaches the cache."""
     field = gf.field_for_order(q)
     if isinstance(lam, str):
         lam = gf.element_from_text(field, lam)
-    return _setting_cached(field, n, operator.index(lam))
+    return _setting_cached(field, operator.index(n), operator.index(lam))
 
 
 @dataclass(frozen=True, eq=False)
 class IndexSet:
-    """A q-closed subset of P_{n,lambda^t}, the check-set currency.
+    """A q-closed subset of P_{n,lambda^t}: the check set of a code.
 
     Elements are sorted residues mod nr, all congruent to t mod r and
-    closed under multiplication by q.  Input that is already strictly
-    ascending inside [0, nr) is kept without sorting it again; the class
-    and closure checks run on every input.  The closure check sorts the
+    closed under multiplication by q; every input is reduced, deduplicated
+    and sorted, then checked.  A splitting holds plain residues and builds
+    no IndexSet until its codes are made.  The closure check sorts the
     image q*X instead of labelling every index of P_{n,lambda^t}: a check
     set of a few cosets may live in an algebra with n near the 2^31
     modulus cap, where a label per index would cost gigabytes.
@@ -163,14 +164,7 @@ class IndexSet:
         nr, q, r = st.nr, st.q, st.r
         t = st.unit_check(self.t)
         object.__setattr__(self, "t", t)
-        elems = tuple(self.elems)
-        if not (
-            elems
-            and 0 <= elems[0]
-            and elems[-1] < nr
-            and all(map(operator.lt, elems, elems[1:]))
-        ):
-            elems = tuple(sorted({x % nr for x in elems}))
+        elems = tuple(sorted({x % nr for x in self.elems}))
         object.__setattr__(self, "elems", elems)
         tr = t % r
         if not set(map(operator.mod, elems, repeat(r))) <= {tr}:
@@ -183,11 +177,8 @@ class IndexSet:
         if sorted([q * x % nr for x in elems]) != list(elems):
             raise NotInvariant("set is not closed under multiplication by q")
 
-    def ambient(self) -> tuple[int, ...]:
-        return self.setting.p_set(self.t)
-
     def complement(self) -> "IndexSet":
-        rest = sorted(set(self.ambient()) - set(self.elems))
+        rest = set(self.setting.p_set(self.t)) - set(self.elems)
         return IndexSet(self.setting, self.t, tuple(rest))
 
     def scale(self, u: int) -> "IndexSet":
@@ -199,16 +190,6 @@ class IndexSet:
 
     def negate(self) -> "IndexSet":
         return self.scale(-1)
-
-    def union(self, other: "IndexSet") -> "IndexSet":
-        self._same_ambient(other)
-        return IndexSet(self.setting, self.t, self.elems + other.elems)
-
-    def _same_ambient(self, other: "IndexSet") -> None:
-        if self.setting != other.setting or self.t % self.setting.r != (
-            other.t % other.setting.r
-        ):
-            raise SettingMismatch("index sets live in different algebras")
 
     def __len__(self) -> int:
         return len(self.elems)

@@ -13,12 +13,14 @@ Existence verdicts depend only on (q, n, r); witnesses are produced for
 exponent t = 1 and other exponents are reached by scaling with a unit
 multiplier.
 
-Splittings are built and checked on P_{n,lambda^t} by index: a member
-x is t mod r, so i = x // r is exact and runs over [0, n).  One
-bytearray(n) then labels every member P, sP or P0, and P and sP are
-read out of it already sorted.  Witnesses and certificates are refused
-above MAX_WITNESS_LENGTH, before anything of size n is allocated.  Each
-built Type-II splitting is verified once, in full, by self_checked.
+A splitting is plain data: its P and sP are tuples of residues, which
+verify_splitting alone checks.  Splittings are built and checked on
+P_{n,lambda^t} by index: a member x is t mod r, so i = x // r is exact
+and runs over [0, n).  One bytearray(n) then labels every member P, sP
+or P0, and P and sP are read out of it already sorted.  Witnesses and
+certificates are refused above MAX_WITNESS_LENGTH, before anything of
+size n is allocated.  Each built splitting, Type-I or Type-II, is
+verified once, in full, by self_checked.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .gf import Poly
 _P, _SP, _P0 = 1, 2, 4
 # bytes.translate tables keeping one label bit of every index
 _ONLY = {bit: bytes(v & bit for v in range(256)) for bit in (_P, _SP)}
+_TYPE1_REASON = "TypeI-even-quotient"
 
 
 class SplittingKind(str, Enum):
@@ -47,26 +50,30 @@ class SplittingKind(str, Enum):
 
 @dataclass(frozen=True)
 class Splitting:
-    """A certified multiplier splitting (s, P, sP) of P_{n,lambda^t}.
+    """A multiplier splitting (s, P, sP) of P_{n,lambda^t}, as plain data.
 
-    transcript is the passing verify_splitting result self_checked
-    attached to a splitting the library built.  It takes no part in
-    equality, and neither the constructor nor dataclasses.replace can set
-    it, so a hand-made or edited splitting never carries one.
+    p and sp are tuples of residues mod nr, sorted in every splitting
+    the library builds.  Nothing is checked on construction:
+    verify_splitting is the one validator.  transcript is the passing
+    verify_splitting result self_checked attached to a splitting the
+    library built.  It takes no part in equality, and neither the
+    constructor nor dataclasses.replace can set it, so a hand-made or
+    edited splitting never carries one.
     """
 
     setting: CodeSetting
     t: int
     s: int
-    p: IndexSet
-    sp: IndexSet
+    p: tuple[int, ...]
+    sp: tuple[int, ...]
     kind: SplittingKind
     transcript: VerifyResult | None = field(
         default=None, init=False, compare=False, repr=False
     )
 
     def codes(self) -> tuple[ConstaCode, ConstaCode]:
-        return ConstaCode(self.p), ConstaCode(self.sp)
+        code = lambda elems: ConstaCode(IndexSet(self.setting, self.t, elems))
+        return code(self.p), code(self.sp)
 
 
 @dataclass(frozen=True)
@@ -105,6 +112,11 @@ class ExistenceVerdict:
     reason: str
     witness: Splitting | None = None
 
+    @property
+    def type1(self) -> bool:
+        """Whether a Type-I splitting exists: exists_type1 of the setting."""
+        return self.reason == _TYPE1_REASON
+
 
 def p0_set(setting: CodeSetting, t: int = 1) -> IndexSet:
     """Members of P_{n,lambda^t} divisible by the r-coprime part of n."""
@@ -121,6 +133,11 @@ def _p0_range(setting: CodeSetting, t: int) -> range:
     r, npp = setting.r, setting.n_r_prime
     c = npp * ((t % r) * pow(npp, -1, r) % r)
     return range(c, setting.nr, r * npp)
+
+
+def _listed_p0(setting: CodeSetting, t: int) -> list[int]:
+    """P0 as a certificate lists it: empty when t is not a unit mod nr."""
+    return list(_p0_range(setting, t)) if math.gcd(t, setting.nr) == 1 else []
 
 
 def c0_check_poly(setting: CodeSetting, t: int = 1) -> Poly:
@@ -152,7 +169,7 @@ def _is_square_mod(a: int, m: int) -> bool:
 
 def _exists_reason(setting: CodeSetting) -> str | None:
     if exists_type1(setting):
-        return "TypeI-even-quotient"
+        return _TYPE1_REASON
     if setting.n_r % 2 == 0:
         return "n_r-even"
     if setting.n % 2 == 1 and _is_square_mod(setting.q, setting.n_r_prime):
@@ -284,13 +301,14 @@ def _sqrt_mod_prime(a: int, p: int) -> int | None:
 def construct_type1(setting: CodeSetting) -> Splitting:
     """Deterministic Type-I splitting, when one exists.
 
-    Raises TooLarge when n exceeds MAX_WITNESS_LENGTH.
+    Every check runs once, here, through self_checked; a failure raises
+    Internal.  Raises TooLarge when n exceeds MAX_WITNESS_LENGTH.
     """
     _check_witness_length(setting.n)
     if not exists_type1(setting):
         raise NoSplitting("no Type-I splitting for this setting")
     s = _type1_multiplier(setting)
-    return _every_other_coset(setting, s, SplittingKind.TYPE_I)
+    return self_checked(_every_other_coset(setting, s, SplittingKind.TYPE_I))
 
 
 def _type1_multiplier(setting: CodeSetting) -> int:
@@ -354,9 +372,7 @@ def _every_other_coset(setting, s, kind) -> Splitting:
     members = range(1 % r, nr, r)
     p = tuple(compress(members, lab.translate(_ONLY[_P])))
     sp = tuple(compress(members, lab.translate(_ONLY[_SP])))
-    return Splitting(
-        setting, 1, s, IndexSet(setting, 1, p), IndexSet(setting, 1, sp), kind
-    )
+    return Splitting(setting, 1, s, p, sp, kind)
 
 
 def construct_type2(setting: CodeSetting) -> Splitting:
@@ -374,7 +390,7 @@ def construct_type2(setting: CodeSetting) -> Splitting:
     reason = _exists_reason(setting)
     if reason is None:
         raise NoSplitting("no Type-II splitting for this setting")
-    if reason == "TypeI-even-quotient":
+    if reason == _TYPE1_REASON:
         s = _type1_multiplier(setting)
     elif reason == "n_r-even":
         s = _compose_multiplier(setting, 1, _even_case_components(setting))
@@ -407,7 +423,7 @@ def verify_splitting(sp: Splitting) -> VerifyResult:
     MAX_WITNESS_LENGTH.
     """
     return VerifyResult(
-        tuple(_verify(sp.setting, sp.t, sp.s, sp.p.elems, sp.sp.elems, sp.kind))
+        tuple(_verify(sp.setting, sp.t, sp.s, sp.p, sp.sp, sp.kind))
     )
 
 
@@ -535,13 +551,14 @@ def odd_like_pair(sp: Splitting) -> tuple[ConstaCode, ConstaCode]:
     """The complementary odd-like pair (P0 + P, P0 + sP) of a Type-II splitting."""
     if sp.kind != SplittingKind.TYPE_II:
         raise ValueError("odd-like companions require a Type-II splitting")
-    p0 = p0_set(sp.setting, sp.t)
-    c1 = ConstaCode(sp.p.union(p0))
-    c2 = ConstaCode(sp.sp.union(p0))
-    whole = set(sp.setting.p_set(sp.t))
+    st, t = sp.setting, sp.t
+    p0 = tuple(_p0_range(st, t))
+    c1 = ConstaCode(IndexSet(st, t, sp.p + p0))
+    c2 = ConstaCode(IndexSet(st, t, sp.sp + p0))
+    whole = set(st.p_set(t))
     union = set(c1.check.elems) | set(c2.check.elems)
     inter = set(c1.check.elems) & set(c2.check.elems)
-    if union != whole or inter != set(p0.elems):
+    if union != whole or inter != set(p0):
         raise Internal("odd-like pair does not meet the sum/intersection contract")
     return c1, c2
 
@@ -566,13 +583,11 @@ def even_dual_is_odd(sp: Splitting) -> bool:
     if sp.t % nr != 1 % nr:
         raise ValueError("stated for exponent t = 1")
     ambient = set(st.p_set(1))
-    p = set(sp.p.elems)
-    spx = set(sp.sp.elems)
     neg = lambda xs: {(-x) % nr for x in xs}
-    a = neg(ambient - p)
-    b = neg(ambient - spx)
+    a = neg(ambient - set(sp.p))
+    b = neg(ambient - set(sp.sp))
     amb_neg = set(st.p_set(-1))
-    p0_neg = neg(set(p0_set(st, 1).elems))
+    p0_neg = neg(_p0_range(st, 1))
     pair_ok = {(sp.s * x) % nr for x in a} == b
     return pair_ok and (a | b) == amb_neg and (a & b) == p0_neg
 
@@ -628,9 +643,10 @@ def certificate(sp: Splitting) -> dict:
 
     A splitting the library built carries the transcript of its
     self-check, which is reused; any other splitting is verified here.
+    P0 is listed as verify_certificate expects it: in closed form for a
+    unit t, empty otherwise.
     """
     st = sp.setting
-    p0 = p0_set(st, sp.t)
     result = sp.transcript if sp.transcript is not None else verify_splitting(sp)
     return {
         "q": st.q,
@@ -640,9 +656,9 @@ def certificate(sp: Splitting) -> dict:
         "t": sp.t,
         "s": sp.s,
         "kind": sp.kind.value,
-        "P": list(sp.p.elems),
-        "sP": list(sp.sp.elems),
-        "P0": list(p0.elems),
+        "P": list(sp.p),
+        "sP": list(sp.sp),
+        "P0": _listed_p0(st, sp.t),
         "checks": result.as_json(),
     }
 
@@ -686,8 +702,7 @@ def verify_certificate(cert: dict) -> tuple[VerifyResult, dict]:
     r = cert.get("r")
     checks = _verify(setting, t, s, p_elems, sp_elems, kind)
     if p0 is not None:
-        actual = list(p0_set(setting, t).elems) if math.gcd(t, setting.nr) == 1 else []
-        checks.append(CheckEntry("p0-matches", p0 == actual))
+        checks.append(CheckEntry("p0-matches", p0 == _listed_p0(setting, t)))
     if r is not None:
         checks.append(CheckEntry("r-matches", r == setting.r))
     res = VerifyResult(tuple(checks))

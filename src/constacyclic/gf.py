@@ -61,6 +61,7 @@ FieldSpec.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from array import array
 from dataclasses import dataclass
@@ -200,9 +201,6 @@ class FieldSpec:
             out += ((-ca) % p) * mult
             mult *= p
         return out
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
         if self.m == 1:
@@ -349,7 +347,10 @@ def make_field(p: int, m: int, /) -> FieldSpec:
 
 
 def field_for_order(q: int) -> FieldSpec:
-    """F_q for a prime power q; sizes above the cap are refused unfactored."""
+    """F_q for a prime power q; sizes above the cap are refused unfactored.
+
+    q must be an integer: a float is refused with TypeError."""
+    q = operator.index(q)
     if q > MAX_FIELD_SIZE:
         raise TooLarge(f"field size {q} exceeds 2^20")
     fac = factorize(q) if q >= 2 else ()
@@ -549,17 +550,6 @@ class Poly:
         if self.field is not other.field:
             raise SettingMismatch("polynomials over different fields")
 
-    def __add__(self, other: "Poly") -> "Poly":
-        self._check(other)
-        F = self.field
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = F.add(out[i], c)
-        return Poly(F, tuple(out))
-
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
         F = self.field
@@ -575,15 +565,6 @@ class Poly:
         F = self.field
         q, r = _poly_divmod(F, self.coeffs, other.coeffs)
         return Poly(F, tuple(q)), Poly(F, tuple(r))
-
-    def __mod__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[1]
-
-    def divides(self, other: "Poly") -> bool:
-        """True when self divides other exactly."""
-        if self.is_zero:
-            return other.is_zero
-        return (other % self).is_zero
 
     def __repr__(self) -> str:
         return f"Poly({poly_to_text(self)!r} over {self.field!r})"

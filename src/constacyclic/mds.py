@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from . import codes, duadic, gf
 from .arith import nu2
-from .codes import CodeSetting, IndexSet, make_setting
+from .codes import CodeSetting, make_setting
 from .duadic import Splitting, SplittingKind
 from .errors import BadLambda, BadQ, Internal, TooLarge
 from .gf import FieldElement, FieldSpec
@@ -85,11 +85,9 @@ def _resolve(plan: GrsPlan, lam: int | None) -> CodeSetting:
 def grs_splitting(plan: GrsPlan, lam=None) -> Splitting:
     """The plan as a self-checked Type-II splitting over the chosen field."""
     setting = _resolve(plan, lam)
-    nr = setting.nr
-    p_idx = IndexSet(setting, 1, plan.p_elems)
-    sp_idx = IndexSet(setting, 1, tuple((plan.s * x) % nr for x in plan.p_elems))
+    sp = tuple(sorted(plan.s * x % setting.nr for x in plan.p_elems))
     return duadic.self_checked(
-        Splitting(setting, 1, plan.s, p_idx, sp_idx, SplittingKind.TYPE_II)
+        Splitting(setting, 1, plan.s, plan.p_elems, sp, SplittingKind.TYPE_II)
     )
 
 

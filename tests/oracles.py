@@ -282,7 +282,7 @@ def contains(code, word) -> bool:
         c = F.mul(rem[i], lead_inv)
         if c:
             for j, gj in enumerate(g):
-                rem[i - d + j] = F.sub(rem[i - d + j], F.mul(c, gj))
+                rem[i - d + j] = F.add(rem[i - d + j], F.neg(F.mul(c, gj)))
     return not any(rem)
 
 
@@ -460,6 +460,13 @@ def _trim(coeffs) -> tuple:
     return tuple(coeffs)
 
 
+def poly_add_reference(F, a, b) -> tuple:
+    """Sum of coefficient tuples over F, low-to-high and without
+    trailing zeros."""
+    pairs = itertools.zip_longest(a, b, fillvalue=0)
+    return _trim([F.add(x, y) for x, y in pairs])
+
+
 def poly_mul_reference(F, a, b) -> tuple:
     """Schoolbook product of coefficient tuples over F, low-to-high and
     without trailing zeros: one field multiply and add per term pair."""
@@ -487,7 +494,7 @@ def poly_divmod_reference(F, a, b) -> tuple:
         if c:
             q[i - db] = c
             for j, bj in enumerate(b):
-                a[i - db + j] = F.sub(a[i - db + j], F.mul(c, bj))
+                a[i - db + j] = F.add(a[i - db + j], F.neg(F.mul(c, bj)))
     return _trim(q), _trim(a)
 
 
@@ -564,7 +571,8 @@ def _rank(E, rows: list) -> int:
             if i != rank and rows[i][col] != 0:
                 f = rows[i][col]
                 rows[i] = [
-                    E.sub(c, E.mul(f, rc)) for c, rc in zip(rows[i], rows[rank])
+                    E.add(c, E.neg(E.mul(f, rc)))
+                    for c, rc in zip(rows[i], rows[rank])
                 ]
         rank += 1
         if rank == len(rows):

@@ -85,8 +85,8 @@ def test_criterion_02_worked_example_len14():
         st,
         1,
         29,
-        IndexSet(st, 1, p),
-        IndexSet(st, 1, tuple(sorted(29 * x % 56 for x in p))),
+        p,
+        tuple(sorted(29 * x % 56 for x in p)),
         SplittingKind.TYPE_II,
     )
     ok &= verify_splitting(sp).ok
@@ -118,12 +118,12 @@ def test_criterion_03_worked_example_len21():
         st,
         1,
         55,
-        IndexSet(st, 1, p),
-        IndexSet(st, 1, tuple(sorted(55 * x % 63 for x in p))),
+        p,
+        tuple(sorted(55 * x % 63 for x in p)),
         SplittingKind.TYPE_II,
     )
     ok &= verify_splitting(sp).ok
-    d = min_distance(ConstaCode(sp.p))
+    d = min_distance(sp.codes()[0])
     ok &= d >= 8
     elapsed = time.time() - t0
     ok &= elapsed < 10.0

@@ -386,6 +386,36 @@ class TestAtlas:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    def test_one_type1_test_per_line(self, capsys, monkeypatch):
+        """The Type-I flag of atlas and exists comes from the verdict, and
+        each line's flag is exists_type1 of its setting.  exists makes no
+        call beyond those of exists_type2."""
+        from constacyclic import duadic
+
+        seen = []
+        real = duadic.exists_type1
+
+        def counted(setting):
+            seen.append(setting)
+            return real(setting)
+
+        monkeypatch.setattr(duadic, "exists_type1", counted)
+        code, out, _ = run(capsys, "atlas")
+        assert code == 0
+        lines = [json.loads(line) for line in out.splitlines()]
+        assert len(seen) == len(lines) > 0
+        assert [e["type1"] for e in lines] == [real(st) for st in seen]
+        for q, n, lam in [(3, 20, 2), (13, 14, 5)]:
+            st = make_setting(q, n, lam)
+            seen.clear()
+            exists_type2(st)
+            library = len(seen)
+            seen.clear()
+            argv = ["--q", str(q), "--n", str(n), "--lambda", str(lam)]
+            code, out, _ = run(capsys, "exists", *argv)
+            assert code == 0 and len(seen) == library
+            assert json.loads(out)["type1_exists"] == real(st)
+
     def test_deterministic(self, capsys):
         _, out1, _ = run(capsys, "atlas", "--max-q", "3", "--max-n", "6")
         _, out2, _ = run(capsys, "atlas", "--max-q", "3", "--max-n", "6")

@@ -61,6 +61,20 @@ class TestSettings:
         with pytest.raises(TypeError):
             make_setting(13, 14, 5.9)
 
+    def test_float_q_and_n_refused(self):
+        """A float q or n is refused and never cached: (13, 14.0, 5) once
+        took the cache entry of (13, 14, 5), whose n then stayed 14.0."""
+        from constacyclic import exists_type2, gf
+
+        for q, n in [(13, 14.0), (13, 14.5), (13.0, 14)]:
+            with pytest.raises(TypeError):
+                make_setting(q, n, 5)
+        with pytest.raises(TypeError):
+            gf.field_for_order(13.0)
+        st = make_setting(13, 14, 5)
+        assert type(st.n) is int and type(st.nr) is int
+        assert exists_type2(st).exists
+
     def test_rejects_bad_length(self):
         with pytest.raises(ValueError):
             make_setting(5, 10, 2)
@@ -150,12 +164,12 @@ class TestCodeConstruction:
         for st in rng.sample(tower_friendly, 12):
             small = random_invariant_set(rng, st)
             extra = random_invariant_set(rng, st)
-            big = small.union(extra)
+            big = IndexSet(st, small.t, small.elems + extra.elems)
             inner, outer = ConstaCode(small), ConstaCode(big)
             # code inclusion == generator divisibility, both directions
-            assert outer.gen_poly.divides(inner.gen_poly)
+            assert divmod(inner.gen_poly, outer.gen_poly)[1].is_zero
             if set(big.elems) != set(small.elems):
-                assert not inner.gen_poly.divides(outer.gen_poly)
+                assert not divmod(outer.gen_poly, inner.gen_poly)[1].is_zero
 
 
 class TestContains:

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import random
 import time
@@ -54,22 +55,13 @@ def st4():
 def worked_splitting_len14(st13):
     p = (25, 29, 33, 37, 41, 45)
     sp = tuple(sorted((29 * x) % 56 for x in p))
-    return Splitting(
-        st13,
-        1,
-        29,
-        IndexSet(st13, 1, p),
-        IndexSet(st13, 1, sp),
-        SplittingKind.TYPE_II,
-    )
+    return Splitting(st13, 1, 29, p, sp, SplittingKind.TYPE_II)
 
 
 def worked_splitting_len21(st4):
     p = (1, 4, 10, 13, 16, 19, 34, 40, 52)
     sp = tuple(sorted((55 * x) % 63 for x in p))
-    return Splitting(
-        st4, 1, 55, IndexSet(st4, 1, p), IndexSet(st4, 1, sp), SplittingKind.TYPE_II
-    )
+    return Splitting(st4, 1, 55, p, sp, SplittingKind.TYPE_II)
 
 
 class TestMultiplierGroup:
@@ -240,19 +232,19 @@ class TestOracleAgreement:
 class TestConstruction:
     def test_golden_ex1(self, st13):
         sp = construct_type2(st13)
-        assert len(sp.p.elems) == 6
+        assert len(sp.p) == 6
         assert verify_splitting(sp).ok
         assert verify_splitting(worked_splitting_len14(st13)).ok
 
     def test_golden_ex2(self, st4):
         sp = construct_type2(st4)
-        assert len(sp.p.elems) == 9
+        assert len(sp.p) == 9
         assert verify_splitting(sp).ok
         assert verify_splitting(worked_splitting_len21(st4)).ok
 
     def test_golden_small(self, st5):
         sp = construct_type2(st5)
-        pair = {sp.p.elems, sp.sp.elems}
+        pair = {sp.p, sp.sp}
         assert (13, 17) in pair
         # the three factors multiply back to the binomial
         c1, c2 = sp.codes()
@@ -270,16 +262,16 @@ class TestConstruction:
         base = construct_type1(st)
         assert base.kind == SplittingKind.TYPE_I
         assert verify_splitting(base).ok
-        assert len(base.p.elems) == st.n // 2
+        assert len(base.p) == st.n // 2
         sp = construct_type2(st)
         assert sp.s == base.s
-        assert set(sp.p.elems) == set(base.p.elems) - set(p0_set(st).elems)
+        assert set(sp.p) == set(base.p) - set(p0_set(st).elems)
         assert verify_splitting(sp).ok
 
     def test_degenerate_empty_splitting(self):
         st = make_setting(4, 3, 2)  # whole index set is P0
         sp = construct_type2(st)
-        assert sp.p.elems == ()
+        assert sp.p == ()
         assert verify_splitting(sp).ok
 
     def test_all_sweep_witnesses(self, sweep_verdicts):
@@ -287,15 +279,15 @@ class TestConstruction:
             if not v.exists:
                 continue
             w = v.witness
-            assert len(w.p.elems) == len(w.sp.elems) == (st.n - st.n_r) // 2
+            assert len(w.p) == len(w.sp) == (st.n - st.n_r) // 2
             nr = st.nr
-            assert {(w.s * w.s * x) % nr for x in w.p.elems} == set(w.p.elems)
+            assert {(w.s * w.s * x) % nr for x in w.p} == set(w.p)
             assert verify_splitting(w).ok
 
 
 class TestVerify:
     def test_hand_made_overlap_fails(self, st13):
-        p = IndexSet(st13, 1, (1, 5, 9, 13, 17, 53))
+        p = (1, 5, 9, 13, 17, 53)
         bad = Splitting(st13, 1, 29, p, p, SplittingKind.TYPE_II)
         res = verify_splitting(bad)
         assert not res.ok
@@ -325,6 +317,20 @@ class TestVerify:
         ):
             construct_type2(st13)
 
+    def test_failed_type1_self_check_raises_internal(self, monkeypatch):
+        from constacyclic import duadic
+
+        real = duadic._every_other_coset
+
+        def identity_multiplier(setting, s, kind):
+            return dataclasses.replace(real(setting, s, kind), s=1)
+
+        monkeypatch.setattr(duadic, "_every_other_coset", identity_multiplier)
+        with pytest.raises(
+            Internal, match="^built splitting failed check sp-equals-s-times-p$"
+        ):
+            construct_type1(make_setting(3, 20, 2))
+
     def test_algebraic_skip_over_cap(self):
         st = make_setting(5, 22, 2)  # tower would need 5^10 elements
         with pytest.raises(TooLarge):
@@ -338,7 +344,7 @@ class TestVerify:
 def _mutations(w):
     """Single-field edits of a witness, as _verify argument tuples."""
     st, t, s, kind = w.setting, w.t, w.s, w.kind
-    p, sp = w.p.elems, w.sp.elems
+    p, sp = w.p, w.sp
     nr = st.nr
     flipped = (
         SplittingKind.TYPE_I if kind == SplittingKind.TYPE_II
@@ -420,6 +426,13 @@ class TestVerifyOnce:
         for w in sweep60_witnesses:
             assert w.transcript == verify_splitting(w), w.setting
 
+    def test_type1_splitting_carries_its_transcript(self):
+        for args in [(3, 20, 2), (7, 1000, 3), (5, 8, 4), (7, 12, 3), (9, 16, 2)]:
+            st = make_setting(*args)
+            assert exists_type1(st), args
+            w = construct_type1(st)
+            assert w.transcript == verify_splitting(w), args
+
     def test_certificate_reuse_matches_full_verification(self, tower_friendly):
         for st in tower_friendly:
             w = exists_type2(st).witness
@@ -472,8 +485,8 @@ class TestEveryOtherCoset:
             p0 = set(oracles.p0_filter(st))
             outside = [x for x in st.p_set(1) if x not in p0]
             want = oracles.every_other_coset_reference(st, w.s, outside)
-            assert w.p.elems == want, st
-            assert set(w.sp.elems) == {(w.s * x) % st.nr for x in want}, st
+            assert w.p == want, st
+            assert set(w.sp) == {(w.s * x) % st.nr for x in want}, st
 
     def test_type1_p_matches_reference(self):
         checked = 0
@@ -482,7 +495,8 @@ class TestEveryOtherCoset:
                 continue
             w = construct_type1(st)
             want = oracles.every_other_coset_reference(st, w.s, st.p_set(1))
-            assert w.p.elems == want, st
+            assert w.p == want, st
+            assert w.transcript.ok, st
             checked += 1
         assert checked == 184
 
@@ -530,11 +544,11 @@ class TestLargerN:
         p0 = set(oracles.p0_filter(st))
         outside = [x for x in st.p_set(1) if x not in p0]
         want = oracles.every_other_coset_reference(st, w.s, outside)
-        assert w.p.elems == want
-        assert set(w.sp.elems) == {(w.s * x) % st.nr for x in want}
+        assert w.p == want
+        assert set(w.sp) == {(w.s * x) % st.nr for x in want}
         if reason == "TypeI-even-quotient":
             w1 = construct_type1(st)
-            assert w1.p.elems == oracles.every_other_coset_reference(
+            assert w1.p == oracles.every_other_coset_reference(
                 st, w1.s, st.p_set(1)
             )
 
@@ -652,8 +666,9 @@ class TestIsoOrthogonal:
         pairs = [(st, v) for st, v in sweep_verdicts if v.exists]
         for st, v in rng.sample(pairs, 40):
             t = -v.witness.s % st.nr
-            assert is_iso_orthogonal(ConstaCode(v.witness.p), t)
-            assert is_iso_orthogonal(ConstaCode(v.witness.sp), t)
+            c1, c2 = v.witness.codes()
+            assert is_iso_orthogonal(c1, t)
+            assert is_iso_orthogonal(c2, t)
 
     def test_whole_algebra_never(self, st5):
         whole = ConstaCode(IndexSet(st5, 1, st5.p_set(1)))
@@ -793,3 +808,70 @@ class TestCertificates:
         cert["P0"] = [1, 13]
         res, _ = verify_certificate(cert)
         assert not res.ok and res.first_failure == "p0-matches"
+
+
+def _hand_made(w):
+    """Edits of a built splitting that no IndexSet would have accepted:
+    a non-unit t, residues of another class in P or sP, duplicate residues
+    (which the set checks pass) and a non-unit s."""
+    nr, p, sp = w.setting.nr, w.p, w.sp
+    foreign = (p[0] + 1) % nr
+    non_unit = next(x for x in range(2, nr) if math.gcd(x, nr) != 1)
+    return [
+        dataclasses.replace(w, t=non_unit),
+        dataclasses.replace(w, p=p + (foreign,)),
+        dataclasses.replace(w, sp=(foreign,) + sp),
+        dataclasses.replace(w, p=p + p[:2], sp=sp[:1] + sp),
+        dataclasses.replace(w, s=non_unit),
+    ]
+
+
+class TestPlainData:
+    """A hand-made Splitting is taken as given: only the verifiers judge it."""
+
+    @pytest.mark.parametrize(
+        "args, kind",
+        [
+            ((13, 14, 5), SplittingKind.TYPE_II),
+            ((4, 21, 2), SplittingKind.TYPE_II),
+            ((3, 20, 2), SplittingKind.TYPE_II),
+            ((3, 20, 2), SplittingKind.TYPE_I),
+        ],
+    )
+    def test_hand_made_splittings(self, args, kind):
+        st = make_setting(*args)
+        build = construct_type1 if kind == SplittingKind.TYPE_I else construct_type2
+        for sp in _hand_made(build(st)):
+            want = oracles.set_check_reference(st, sp.t, sp.s, sp.p, sp.sp, kind)
+            got = verify_splitting(sp)
+            assert [(c.name, c.passed) for c in got.checks[: len(want)]] == want
+            assert got.ok == all(ok for _, ok in want), sp
+            cert = json.loads(json.dumps(certificate(sp)))
+            assert cert["checks"] == got.as_json()
+            res, _ = verify_certificate(cert)
+            entries = [(c.name, c.passed) for c in res.checks]
+            assert entries[: len(want)] == want
+            assert entries[-2:] == [("p0-matches", True), ("r-matches", True)]
+            assert res.ok == got.ok, sp
+
+    def test_no_index_set_on_the_split_path(self, sweep, monkeypatch):
+        """exists_type2, certificate and verify_certificate build no IndexSet
+        on the sweep settings or on a large-n benchmark setting."""
+        from constacyclic import codes
+
+        built = []
+        real = codes.IndexSet.__post_init__
+
+        def counted(self):
+            built.append(self.setting)
+            real(self)
+
+        monkeypatch.setattr(codes.IndexSet, "__post_init__", counted)
+        witnesses = 0
+        for st in [*sweep, make_setting(3, 200002, 2)]:
+            w = exists_type2(st).witness
+            if w is not None:
+                cert = json.loads(json.dumps(certificate(w)))
+                assert verify_certificate(cert)[0].ok, st
+                witnesses += 1
+        assert witnesses > 200 and built == []
