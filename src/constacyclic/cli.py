@@ -16,7 +16,7 @@ import sys
 
 from . import codes, duadic, gf, mds
 from .arith import MAX_MODULUS, divisors, factorize
-from .codes import ConstaCode, IndexSet, make_setting
+from .codes import CodeSetting, ConstaCode, IndexSet, make_setting
 from .errors import DivideByZero, Internal, NoSplitting, TooLarge
 
 
@@ -60,13 +60,14 @@ def _cmd_exists(args) -> int:
     """Verdict with a certified witness; over the witness cap, the verdict
     alone, with the reason the witness was skipped."""
     setting = _setting_from_args(args)
-    over_cap = setting.n > codes.MAX_WITNESS_LENGTH
-    verdict = duadic.exists_type2(setting, with_witness=not over_cap)
+    try:
+        codes._check_witness_length(setting.n)
+        skipped = None
+    except TooLarge as exc:
+        skipped = str(exc)
+    verdict = duadic.exists_type2(setting, with_witness=skipped is None)
     payload = {
-        "q": setting.q,
-        "n": setting.n,
-        "r": setting.r,
-        "lambda": gf.element_to_text(setting.field, setting.lam),
+        **setting.payload_fields(),
         "exists": verdict.exists,
         "reason": verdict.reason,
         "type1_exists": verdict.type1,
@@ -74,9 +75,7 @@ def _cmd_exists(args) -> int:
     if verdict.witness is not None:
         payload["witness"] = duadic.certificate(verdict.witness)
     elif verdict.exists:
-        payload["witness_skipped"] = (
-            f"length {setting.n} exceeds the 2^22 witness cap"
-        )
+        payload["witness_skipped"] = skipped
     _emit(payload)
     return 0 if verdict.exists else 1
 
@@ -186,13 +185,12 @@ def _cmd_atlas(args) -> int:
             for n in range(1, args.max_n + 1):
                 if math.gcd(n, q) != 1:
                     continue
-                setting = make_setting(q, n, lam)
+                # built directly: each setting is asked for once, so
+                # make_setting's cache would only hold it until exit
+                setting = CodeSetting(field, n, lam)
                 verdict = duadic.exists_type2(setting, with_witness=False)
                 line = {
-                    "q": q,
-                    "n": n,
-                    "r": r,
-                    "lambda": gf.element_to_text(field, lam),
+                    **setting.payload_fields(),
                     "type1": verdict.type1,
                     "type2": verdict.exists,
                     "reason": verdict.reason,
@@ -208,17 +206,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_setting_args(p, with_lambda=True):
+    def add_setting_args(p):
         p.add_argument("--q", type=int, required=True, help="field size (prime power)")
         p.add_argument("--n", type=int, required=True, help="code length")
-        if with_lambda:
-            p.add_argument(
-                "--lambda",
-                dest="lam",
-                required=True,
-                help="unit: bare integer over a prime field, coordinate "
-                'tuple like "0 1" otherwise',
-            )
+        p.add_argument(
+            "--lambda",
+            dest="lam",
+            required=True,
+            help="unit: bare integer over a prime field, coordinate "
+            'tuple like "0 1" otherwise',
+        )
 
     p = sub.add_parser("exists", help="Type-II existence verdict")
     add_setting_args(p)
@@ -280,16 +277,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except BrokenPipeError:
         return 0
-    except (
-        ValueError,
-        TooLarge,
-        OSError,
-        json.JSONDecodeError,
-        KeyError,
-        NoSplitting,
-        Internal,
-        DivideByZero,
-    ) as exc:
+    except (ValueError, OSError, KeyError, NoSplitting, Internal, DivideByZero) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -124,9 +124,17 @@ class CodeSetting:
         """X**n - lambda**t."""
         return gf.poly_x_pow_minus(self.field, self.n, self.lam_power(t))
 
+    @property
+    def lam_text(self) -> str:
+        """lambda as payloads and the CLI write it."""
+        return gf.element_to_text(self.field, self.lam)
+
+    def payload_fields(self) -> dict:
+        """The fields every setting payload opens with, in order."""
+        return {"q": self.q, "n": self.n, "r": self.r, "lambda": self.lam_text}
+
     def __repr__(self) -> str:
-        lam = gf.element_to_text(self.field, self.lam)
-        return f"CodeSetting(q={self.q}, n={self.n}, lambda={lam})"
+        return f"CodeSetting(q={self.q}, n={self.n}, lambda={self.lam_text})"
 
 
 _setting_cached = lru_cache(maxsize=None)(CodeSetting)
@@ -187,9 +195,6 @@ class IndexSet:
         return IndexSet(
             st, (u * self.t) % st.nr, tuple((u * x) % st.nr for x in self.elems)
         )
-
-    def negate(self) -> "IndexSet":
-        return self.scale(-1)
 
     def __len__(self) -> int:
         return len(self.elems)
@@ -316,7 +321,7 @@ def annihilator(code: ConstaCode) -> ConstaCode:
 
 def dual(code: ConstaCode) -> ConstaCode:
     """Euclidean dual: a lambda^(-t) code with check set -(complement)."""
-    return ConstaCode(code.check.complement().negate())
+    return ConstaCode(code.check.complement().scale(-1))
 
 
 def min_distance(code: ConstaCode) -> float | int:
@@ -409,10 +414,7 @@ def code_report(code: ConstaCode, distance=None) -> dict:
     """JSON-ready summary of a code; distance entry is caller-supplied."""
     st = code.setting
     report = {
-        "q": st.q,
-        "n": st.n,
-        "r": st.r,
-        "lambda": gf.element_to_text(st.field, st.lam),
+        **st.payload_fields(),
         "t": code.t,
         "check_set": list(code.check.elems),
         "dimension": code.dim,

@@ -649,10 +649,7 @@ def certificate(sp: Splitting) -> dict:
     st = sp.setting
     result = sp.transcript if sp.transcript is not None else verify_splitting(sp)
     return {
-        "q": st.q,
-        "n": st.n,
-        "r": st.r,
-        "lambda": gf.element_to_text(st.field, st.lam),
+        **st.payload_fields(),
         "t": sp.t,
         "s": sp.s,
         "kind": sp.kind.value,

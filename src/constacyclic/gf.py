@@ -249,8 +249,6 @@ class FieldSpec:
     def inv(self, a: int) -> int:
         if a == 0:
             raise DivideByZero("zero has no multiplicative inverse")
-        if self.m == 1:
-            return pow(a, -1, self.p)
         return self.pow(a, self.q - 2)
 
     def order_of(self, a: int) -> int:
@@ -295,9 +293,8 @@ class FieldSpec:
         """(add, mul) lookup tables as numpy arrays; small fields only.
 
         mul is one gather from the field's exp/log pair, exp the q - 1
-        powers of the primitive element (_root_powers); add is a xor in
-        characteristic 2 and otherwise coordinatewise addition, one base-p
-        digit at a time.
+        powers of the primitive element (_root_powers); add is
+        coordinatewise addition, one base-p digit at a time.
         """
         if self._np_tables is None:
             if self.q > _NP_TABLE_LIMIT:
@@ -314,15 +311,12 @@ class FieldSpec:
             mul[0, :] = 0
             mul[:, 0] = 0
             v = np.arange(q, dtype=np.int16)
-            if p == 2:
-                add = np.bitwise_xor.outer(v, v)
-            else:
-                add = np.zeros((q, q), dtype=np.int16)
-                place = 1
-                while place < q:
-                    digit = (v // place) % p
-                    add += (digit[:, None] + digit[None, :]) % p * place
-                    place *= p
+            add = np.zeros((q, q), dtype=np.int16)
+            place = 1
+            while place < q:
+                digit = (v // place) % p
+                add += (digit[:, None] + digit[None, :]) % p * place
+                place *= p
             self._np_tables = (add, mul)
         return self._np_tables
 
@@ -760,7 +754,7 @@ def build_tower(setting) -> FieldTower:
     """
     F: FieldSpec = setting.field
     n, nr = setting.n, setting.nr
-    d = _mult_order(F.q % nr, nr) if nr > 1 else 1
+    d = _mult_order(F.q, nr)
     ext = make_field(F.p, F.m * d)
 
     if ext is F or F.m == 1:

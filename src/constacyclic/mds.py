@@ -109,7 +109,7 @@ def mds_report(q: int, lam=None) -> dict:
     out = {
         "q": q,
         "n": plan.n,
-        "lambda": gf.element_to_text(sp.setting.field, sp.setting.lam),
+        "lambda": sp.setting.lam_text,
         "s": plan.s,
         "d_expected": d_expected,
     }

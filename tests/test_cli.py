@@ -334,6 +334,37 @@ class TestCodeReports:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+class TestPinnedRuns:
+    @pytest.mark.parametrize(
+        "argv, exit_code, digest",
+        [
+            (["exists", "--q", "13", "--n", "14", "--lambda", "5"], 0,
+             "332a058d4703dff2f9c305068772867c379b237889c99f876e38c02f6f279772"),
+            (["exists", "--q", "2", "--n", "4194305", "--lambda", "1"], 1,
+             "c0b781c7ddcd9206240ec6612b88f121e65ab237651d18f6b33206752c9c7e0a"),
+            (["exists", "--q", "5", "--n", "4194306", "--lambda", "4"], 0,
+             "384d3b66cbb0fabb14ff937c546a18221aea0723bd0390cf17227f24c324ac7b"),
+            (["dual", "--q", "5", "--n", "6", "--lambda", "2", "--P", "9,21"], 0,
+             "64d3c82e04acb24a4c4638f51cb751dd2c3478e163739f00f381c56f6296c101"),
+            (["iso", "--q", "13", "--n", "14", "--lambda", "5",
+              "--P", "25,29,33,37,41,45", "--iso-t", "27"], 0,
+             "6d0dd4621265c2a1853a0a86c52cc297b94048a7f6afb25ceef4768ef9021dc0"),
+            (["iso", "--q", "13", "--n", "14", "--lambda", "5",
+              "--P", "25,29,33,37,41,45", "--iso-t", "1"], 1,
+             "ca3b0b527e8c60b7a29d0e106264ca3d65c5b425fa63781d0e070df7c6670835"),
+        ],
+        ids=["exists", "exists-false-over-cap", "exists-witness-skipped",
+             "dual", "iso-true", "iso-false"],
+    )
+    def test_stdout_and_exit_pinned(self, capsys, argv, exit_code, digest):
+        """sha256 of the whole stdout and the exit code of runs that no
+        benchmark golden covers, recorded before the setting's payload
+        fields and the witness-cap text each got one owner."""
+        code, out, _ = run(capsys, *argv)
+        assert code == exit_code
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestMds:
     def test_q5(self, capsys):
         code, out, _ = run(capsys, "mds", "--q", "5")
@@ -415,6 +446,16 @@ class TestAtlas:
             code, out, _ = run(capsys, "exists", *argv)
             assert code == 0 and len(seen) == library
             assert json.loads(out)["type1_exists"] == real(st)
+
+    def test_keeps_no_setting(self, capsys):
+        """atlas asks for each setting once, so it leaves make_setting's
+        cache as it found it."""
+        from constacyclic import codes
+
+        before = codes._setting_cached.cache_info().currsize
+        code, out, _ = run(capsys, "atlas", "--max-q", "16", "--max-n", "30")
+        assert code == 0 and out
+        assert codes._setting_cached.cache_info().currsize == before
 
     def test_deterministic(self, capsys):
         _, out1, _ = run(capsys, "atlas", "--max-q", "3", "--max-n", "6")

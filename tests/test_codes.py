@@ -117,8 +117,8 @@ class TestIndexSet:
         assert s.complement().elems == (1, 5, 13, 17)
         assert s.scale(13).elems == (9, 21)
         assert s.scale(13).t == 13
-        assert s.negate().elems == (3, 15)
-        assert s.negate().t == 23
+        assert s.scale(-1).elems == (3, 15)
+        assert s.scale(-1).t == 23
 
 
 class TestCodeConstruction:
