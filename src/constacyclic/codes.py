@@ -327,35 +327,61 @@ def dual(code: ConstaCode) -> ConstaCode:
 def min_distance(code: ConstaCode) -> float | int:
     """Exact minimum Hamming weight: wt(g) for k <= 2, else enumerated.
 
-    For k <= 2 a codeword of weight below n has a zero coordinate, and a
-    constacyclic shift, which keeps weights, moves it to X^(n-1); the
-    shifted word has degree at most n - 2 <= deg g, so it is a scalar
-    multiple of g and no codeword is lighter than g.  Larger codes are
-    enumerated by _min_distance_np; the cap on q^k is checked first for
-    every k.
+    Both rules rest on the zero-run argument.  The code is an ideal of
+    F_q[X]/(X^n - lambda^t), so the constacyclic shift X*c is a codeword
+    of the weight of c with its support rotated.  The n - w zeros of a
+    word of weight w lie in at most w cyclic runs, one of them at least
+    ceil((n - w)/w) long, and some shift moves that run to the top
+    coordinates.  The shifted word has degree at most n - 1 - that run,
+    so its message, the quotient by g, has lead at most
+    k - 1 - ceil((n - w)/w).
+
+    For k <= 2 a word of weight below n has a run of at least 1, so a
+    shift of it is a scalar multiple of g: no codeword is lighter than g.
+    Larger codes are scanned lead by lead by _min_distance_np.  Once the
+    lightest word found has weight B, a lighter one has a shift led at
+    most k - 1 - ceil((n - B + 1)/(B - 1)), and the scan stops past that
+    lead; at B = 1 it stops at once.  The cap on q^k is checked first for
+    every k, before any scan.
     """
     k = code.dim
     if k == 0:
         return INFINITY
-    q = code.setting.q
+    st = code.setting
+    q, n = st.q, st.n
     # q >= 2, so k at or past the cap's bit length is over it unbuilt
     if k >= _ENUM_LIMIT.bit_length() or q**k > _ENUM_LIMIT:
         raise TooLarge(f"{q}^{k} codewords exceed the enumeration cap")
     g = code.gen_poly.coeffs
     if k <= 2:
         return sum(1 for c in g if c)
-    return _min_distance_np(code.setting, g, k)
+    for lead, best in enumerate(_min_distance_np(st, g, k)):
+        if best == 1:
+            break
+        # the zero run every word lighter than best has
+        run = -(-(n - best + 1) // (best - 1))
+        if lead >= k - 1 - run:
+            break
+    return best
 
 
-def _min_distance_np(st: CodeSetting, g: tuple[int, ...], k: int) -> int:
-    """Split enumeration over numpy tables, one codeword per scalar class.
+def _min_distance_np(st: CodeSetting, g: tuple[int, ...], k: int):
+    """Yield the least weight of the monic words led at most j, for j =
+    0..k-1: split enumeration over numpy tables, one word per scalar class.
 
-    Every monic codeword is high + low: low runs over the span of rows
-    0..a-1, tabled once, with q^a at most ``_BLOCK``; its nonzero rows are
-    the messages led below a.  For each lead >= a, high runs over row lead
-    plus the span of rows a..lead-1.  The span is closed under negation,
-    so high + span = high - span and the least weight there is n minus
-    the most coordinates that any low row shares with high.
+    Every monic word led j is high + low, with high = row j plus the span
+    of rows a..j-1 and low in the span of rows 0..a-1, tabled with q^a at
+    most ``_BLOCK``.  Below lead a the table is the zero word alone, and
+    each lead's words are row j plus the span of rows 0..j-1, one gather;
+    that span grows to the table.  The span is closed under negation, so
+    high + span = high - span and the least weight there is n minus the
+    most coordinates that any low row shares with high.
+
+    Lead j + 1 is weighed only when the caller asks for the next value,
+    so a caller may stop at any lead.  The scan knows nothing of shifts:
+    every value is exact for the rows X^j g of any g, and the last one is
+    the least weight of their whole span.  Only a shift-closed span lets
+    min_distance stop early by the zero-run argument.
     """
     import numpy as np
 
@@ -372,21 +398,21 @@ def _min_distance_np(st: CodeSetting, g: tuple[int, ...], k: int) -> int:
     a = 0
     while a < k - 1 and q ** (a + 1) <= _BLOCK:
         a += 1
-    low = np.zeros((1, n), dtype=np.int16)
-    for row in rows[:a]:
-        low = extend(low, row)
-    best = int(np.count_nonzero(low[1:], axis=1).min()) if a else n + 1
-    # about _BLOCK codewords per comparison keeps peak memory bounded
-    chunk = max(1, _BLOCK // len(low))
     count_t = np.min_scalar_type(n)
-    span = low[:1]
-    for row in rows[a:]:
+    best = n + 1
+    low = span = np.zeros((1, n), dtype=np.int16)
+    for lead, row in enumerate(rows):
+        if lead:
+            span = extend(span, rows[lead - 1])
+        if lead == a:
+            low, span = span, span[:1]
         high = add_t[span, row]
+        # about _BLOCK codewords per comparison keeps peak memory bounded
+        chunk = max(1, _BLOCK // len(low))
         for start in range(0, len(high), chunk):
             same = low[None] == high[start : start + chunk, None, :]
             best = min(best, n - int(same.sum(axis=2, dtype=count_t).max()))
-        span = extend(span, row)
-    return best
+        yield best
 
 
 def distance_lower_bound(code: ConstaCode) -> int:

@@ -382,6 +382,44 @@ class TestAnnihilatorAndDual:
         assert checked > 1000
 
 
+# (q, n, lambda, check set, d) of the seven `code --distance` benchmark ops
+DISTANCE_WORKLOAD_CODES = [
+    (13, 14, "5", (25, 29, 33, 37, 41, 45), 9),
+    (7, 20, "6", (1, 3, 7, 9, 21, 23, 27, 29), 6),
+    (3, 26, "2", (1, 3, 5, 9, 15, 19, 27, 29, 31, 35, 41, 45), 6),
+    (4, 21, "1 0", (1, 2, 3, 4, 6, 7, 8, 11, 12, 16), 8),
+    (16, 13, "0 1 0 1", (1, 7, 16, 22, 34, 37), 6),
+    (9, 14, "0 1", (1, 5, 9, 13, 25, 45), 6),
+    (5, 24, "2", (1, 5, 25, 29, 49, 53, 73, 77), 5),
+]
+
+
+@pytest.fixture
+def scanned(monkeypatch):
+    """The leads the distance scan weighs, one list per scan.
+
+    The scan is a generator and weighs lead j + 1 only when asked for
+    its next value, so the leads it yields are the leads it weighed.
+    """
+    from constacyclic import codes
+
+    scan, leads = codes._min_distance_np, []
+
+    def spy(st, g, k):
+        leads.append([])
+        for lead, best in enumerate(scan(st, g, k)):
+            leads[-1].append(lead)
+            yield best
+
+    monkeypatch.setattr(codes, "_min_distance_np", spy)
+    return leads
+
+
+def shift_bound(n: int, k: int, d: int) -> int:
+    """Highest lead a word of weight d needs: k - 1 - ceil((n - d)/d)."""
+    return k - 1 - -(-(n - d) // d)
+
+
 class TestDistance:
     def test_golden_14_6_9(self, st13):
         code = ConstaCode(IndexSet(st13, 1, (25, 29, 33, 37, 41, 45)))
@@ -454,23 +492,91 @@ class TestDistance:
                 g = (rng.randrange(1, q), *inner, rng.randrange(1, q))
                 rows = [(0,) * j + g + (0,) * (k - 1 - j) for j in range(k)]
                 want = oracles.min_weight_bruteforce(st.field, rows)
-                assert codes._min_distance_np(st, g, k) == want
+                assert list(codes._min_distance_np(st, g, k))[-1] == want
 
-    @pytest.mark.parametrize(
-        "q, n, lam, check, d",
-        [
-            (13, 14, "5", (25, 29, 33, 37, 41, 45), 9),
-            (7, 20, "6", (1, 3, 7, 9, 21, 23, 27, 29), 6),
-            (3, 26, "2", (1, 3, 5, 9, 15, 19, 27, 29, 31, 35, 41, 45), 6),
-            (4, 21, "1 0", (1, 2, 3, 4, 6, 7, 8, 11, 12, 16), 8),
-            (16, 13, "0 1 0 1", (1, 7, 16, 22, 34, 37), 6),
-            (9, 14, "0 1", (1, 5, 9, 13, 25, 45), 6),
-            (5, 24, "2", (1, 5, 25, 29, 49, 53, 73, 77), 5),
-        ],
-    )
+    @pytest.mark.parametrize("q, n, lam, check, d", DISTANCE_WORKLOAD_CODES)
     def test_distance_workload_codes(self, q, n, lam, check, d):
         st = make_setting(q, n, lam)
         assert min_distance(ConstaCode(IndexSet(st, 1, check))) == d
+
+    @pytest.mark.parametrize("block", [4, 16])
+    def test_cut_scan_matches_bruteforce(
+        self, tower_friendly, monkeypatch, scanned, block
+    ):
+        """The cut scan stops both below the low table's lead a, while the
+        table is still being built, and among the high leads."""
+        from constacyclic import codes
+
+        monkeypatch.setattr(codes, "_BLOCK", block)
+        rng = random.Random(61 + block)
+        qs = (2, 3, 4, 5, 7, 9)
+        checked = dict.fromkeys(qs, 0)
+        stops = set()
+        for st in tower_friendly:
+            if st.q not in qs or checked[st.q] >= 4:
+                continue
+            code = ConstaCode(random_invariant_set(rng, st))
+            k = code.dim
+            if k < 3 or st.q**k > 3000:
+                continue
+            assert min_distance(code) == oracles.min_distance_bruteforce(code)
+            checked[st.q] += 1
+            last = scanned[-1][-1]
+            a = max(a for a in range(k) if st.q**a <= block)
+            if last < k - 1:
+                stops.add("low" if last < a else "high")
+        assert all(checked.values()), checked
+        assert stops == {"low", "high"}
+
+    def test_cut_scan_edge_cases(self, scanned):
+        """k = n stops after lead 0 (d = 1); a zero code scans nothing,
+        next to a k >= 3 code of the same setting."""
+        st = make_setting(2, 7, 1)
+        whole = ConstaCode(IndexSet(st, 1, st.p_set(1)))
+        assert whole.dim == 7
+        assert min_distance(whole) == 1 == oracles.min_distance_bruteforce(whole)
+        assert scanned == [[0]]
+        assert min_distance(ConstaCode(IndexSet(st, 1, ()))) == INFINITY
+        assert len(scanned) == 1
+        code = ConstaCode(IndexSet(st, 1, (0, 1, 2, 4)))
+        assert code.dim == 4
+        assert min_distance(code) == oracles.min_distance_bruteforce(code) == 3
+        assert len(scanned) == 2
+
+    @pytest.mark.parametrize("q, n, lam, check, d", DISTANCE_WORKLOAD_CODES)
+    def test_scan_stops_at_the_shift_bound(self, scanned, q, n, lam, check, d):
+        """A minimum-weight word has a shift led at most shift_bound, so
+        the scan never weighs a lead above it: GF(16) [13, 6, 6] weighs
+        at most leads 0..3 of 0..5, and GF(5) [24, 8, 5] 0..3 of 0..7."""
+        code = ConstaCode(IndexSet(make_setting(q, n, lam), 1, check))
+        assert min_distance(code) == d
+        [leads] = scanned
+        assert leads == list(range(len(leads)))
+        assert leads[-1] <= shift_bound(n, code.dim, d) < code.dim - 1
+
+    def test_mds_q13_scan_stops_at_the_shift_bound(self, scanned):
+        """Both even-like [14, 6, 9] codes of mds --q 13 stop by lead 4."""
+        from constacyclic import grs_plan, grs_splitting
+
+        for code in grs_splitting(grs_plan(13)).codes():
+            assert min_distance(code) == 9
+            assert scanned[-1][-1] <= shift_bound(14, code.dim, 9) == 4
+        assert len(scanned) == 2
+
+    def test_uncut_scan_weighs_every_lead(self):
+        """Over a g that does not divide X^n - lambda the scan gives k
+        running minima, never rising, the last the least weight."""
+        from constacyclic import codes
+
+        rng = random.Random(67)
+        st = make_setting(3, 11, 1)
+        k = 4
+        g = (1, *(rng.randrange(3) for _ in range(6)), 2)
+        rows = [(0,) * j + g + (0,) * (k - 1 - j) for j in range(k)]
+        minima = list(codes._min_distance_np(st, g, k))
+        assert len(minima) == k
+        assert minima == sorted(minima, reverse=True)
+        assert minima[-1] == oracles.min_weight_bruteforce(st.field, rows)
 
     @pytest.mark.parametrize("q, n, check", [(2, 7, (1, 2, 4)), (3, 13, (1, 3, 9))])
     def test_cap_is_exact(self, monkeypatch, q, n, check):
