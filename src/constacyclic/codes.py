@@ -325,9 +325,9 @@ def dual(code: ConstaCode) -> ConstaCode:
 
 
 def min_distance(code: ConstaCode) -> float | int:
-    """Exact minimum Hamming weight: wt(g) for k <= 2, else enumerated.
+    """Exact minimum Hamming weight, enumerated lead by lead.
 
-    Both rules rest on the zero-run argument.  The code is an ideal of
+    The scan stops by the zero-run argument.  The code is an ideal of
     F_q[X]/(X^n - lambda^t), so the constacyclic shift X*c is a codeword
     of the weight of c with its support rotated.  The n - w zeros of a
     word of weight w lie in at most w cyclic runs, one of them at least
@@ -336,13 +336,13 @@ def min_distance(code: ConstaCode) -> float | int:
     so its message, the quotient by g, has lead at most
     k - 1 - ceil((n - w)/w).
 
-    For k <= 2 a word of weight below n has a run of at least 1, so a
-    shift of it is a scalar multiple of g: no codeword is lighter than g.
-    Larger codes are scanned lead by lead by _min_distance_np.  Once the
-    lightest word found has weight B, a lighter one has a shift led at
-    most k - 1 - ceil((n - B + 1)/(B - 1)), and the scan stops past that
-    lead; at B = 1 it stops at once.  The cap on q^k is checked first for
-    every k, before any scan.
+    _min_distance_np weighs the leads in order, lead 0 being g itself.
+    Once the lightest word found has weight B, a lighter one has a shift
+    led at most k - 1 - ceil((n - B + 1)/(B - 1)), and the scan stops
+    past that lead; at B = 1 it stops at once.  For k <= 2 that lead is
+    at most 0, since B = wt(g) <= n, so the distance is wt(g) and no
+    table is built.  The cap on q^k is checked first for every k, before
+    any scan.
     """
     k = code.dim
     if k == 0:
@@ -353,8 +353,6 @@ def min_distance(code: ConstaCode) -> float | int:
     if k >= _ENUM_LIMIT.bit_length() or q**k > _ENUM_LIMIT:
         raise TooLarge(f"{q}^{k} codewords exceed the enumeration cap")
     g = code.gen_poly.coeffs
-    if k <= 2:
-        return sum(1 for c in g if c)
     for lead, best in enumerate(_min_distance_np(st, g, k)):
         if best == 1:
             break
@@ -369,6 +367,7 @@ def _min_distance_np(st: CodeSetting, g: tuple[int, ...], k: int):
     """Yield the least weight of the monic words led at most j, for j =
     0..k-1: split enumeration over numpy tables, one word per scalar class.
 
+    Lead 0's one word is g: wt(g) is yielded before numpy is imported.
     Every monic word led j is high + low, with high = row j plus the span
     of rows a..j-1 and low in the span of rows 0..a-1, tabled with q^a at
     most ``_BLOCK``.  Below lead a the table is the zero word alone, and
@@ -383,6 +382,8 @@ def _min_distance_np(st: CodeSetting, g: tuple[int, ...], k: int):
     the least weight of their whole span.  Only a shift-closed span lets
     min_distance stop early by the zero-run argument.
     """
+    best = sum(1 for c in g if c)
+    yield best
     import numpy as np
 
     add_t, mul_t = st.field.np_tables()
@@ -399,14 +400,12 @@ def _min_distance_np(st: CodeSetting, g: tuple[int, ...], k: int):
     while a < k - 1 and q ** (a + 1) <= _BLOCK:
         a += 1
     count_t = np.min_scalar_type(n)
-    best = n + 1
     low = span = np.zeros((1, n), dtype=np.int16)
-    for lead, row in enumerate(rows):
-        if lead:
-            span = extend(span, rows[lead - 1])
+    for lead in range(1, k):
+        span = extend(span, rows[lead - 1])
         if lead == a:
             low, span = span, span[:1]
-        high = add_t[span, row]
+        high = add_t[span, rows[lead]]
         # about _BLOCK codewords per comparison keeps peak memory bounded
         chunk = max(1, _BLOCK // len(low))
         for start in range(0, len(high), chunk):
@@ -422,11 +421,8 @@ def distance_lower_bound(code: ConstaCode) -> int:
     of L consecutive defining-set members forces distance >= L + 1.
     """
     st = code.setting
-    defining = set(code.check.complement().elems)
-    t = code.t % st.r
-    seq = [(t + st.r * i) % st.nr in defining for i in range(st.n)]
-    if all(seq):
-        return st.n + 1
+    check = set(code.check.elems)
+    seq = [x not in check for x in st.p_set(code.t)]
     # longest cyclic run of True
     doubled = seq + seq
     best = run = 0

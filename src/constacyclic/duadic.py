@@ -180,15 +180,26 @@ def _exists_reason(setting: CodeSetting) -> str | None:
 def exists_type2(setting: CodeSetting, *, with_witness: bool = True) -> ExistenceVerdict:
     """Existence verdict for Type-II splittings, with a certified witness.
 
-    The witness comes from construct_type2, which has already run every
-    check once; it carries their transcript for certificate().
+    The witness is built from the reason decided: P takes every other
+    coset along each s-cycle of the q-cosets outside P0, for the reason's
+    multiplier s (on a Type-I setting, the Type-I one).  Its checks run
+    once, through self_checked, whose transcript certificate() reuses.
+    A witness over MAX_WITNESS_LENGTH raises TooLarge.
     """
     reason = _exists_reason(setting)
     if reason is None:
         return ExistenceVerdict(False, "none", None)
     if not with_witness:
         return ExistenceVerdict(True, reason, None)
-    return ExistenceVerdict(True, reason, construct_type2(setting))
+    _check_witness_length(setting.n)
+    if reason == _TYPE1_REASON:
+        s = _type1_multiplier(setting)
+    elif reason == "n_r-even":
+        s = _compose_multiplier(setting, 1, _even_case_components(setting))
+    else:
+        s = _compose_multiplier(setting, 1, _odd_case_components(setting))
+    witness = _every_other_coset(setting, s, SplittingKind.TYPE_II)
+    return ExistenceVerdict(True, reason, self_checked(witness))
 
 
 # ---------------------------------------------------------------------------
@@ -211,25 +222,25 @@ def _compose_multiplier(setting: CodeSetting, r_side: int, odd_parts: dict[int, 
     return total % nr
 
 
+def _q_two_part(q: int, m: int) -> list[int]:
+    """The 2-power-order part of <q> mod m: b**i for i < 2**a, where
+    2**a is the 2-part of the order of q and b = q**(order / 2**a)."""
+    ordq = _mult_order(q, m)
+    a = nu2(ordq)
+    b = pow(q, ordq >> a, m)
+    return [pow(b, i, m) for i in range(1 << a)]
+
+
 def _even_case_components(setting: CodeSetting) -> dict[int, int]:
     """Least 2-power-order components at each prime power of n_r_prime.
 
-    At w = p**v the component is the unique element of order 2 when q
-    has odd order mod w, and otherwise the least odd power of q whose
-    order is a positive power of 2.
+    At w = p**v the component is the least odd power of b (see
+    _q_two_part), or the unique element of order 2 when q has odd order.
     """
-    q = setting.q
     out = {}
     for p, v in factorize(setting.n_r_prime):
         w = p**v
-        ordq = _mult_order(q % w, w)
-        if ordq % 2 == 1:
-            out[w] = w - 1
-        else:
-            a = nu2(ordq)
-            base = pow(q, ordq >> a, w)
-            cands = {pow(base, e, w) for e in range(1, 1 << a, 2)}
-            out[w] = min(cands)
+        out[w] = min(_q_two_part(setting.q, w)[1::2], default=w - 1)
     return out
 
 
@@ -376,27 +387,16 @@ def _every_other_coset(setting, s, kind) -> Splitting:
 
 
 def construct_type2(setting: CodeSetting) -> Splitting:
-    """Deterministic Type-II (even-like) splitting, when one exists.
+    """Deterministic Type-II (even-like) splitting: exists_type2's witness.
 
-    P takes every other coset along each s-cycle of the q-cosets outside
-    P0.  On a Type-I setting s is the Type-I multiplier, and P is the
-    Type-I P without P0, which is a union of whole s-cycles.
-
-    Every check runs once, here, through self_checked; a failure raises
-    Internal, and certificate() reuses the transcript.  Raises TooLarge
-    when n exceeds MAX_WITNESS_LENGTH.
+    Raises TooLarge when n exceeds MAX_WITNESS_LENGTH, before anything
+    else, and NoSplitting when no splitting exists.
     """
     _check_witness_length(setting.n)
-    reason = _exists_reason(setting)
-    if reason is None:
+    witness = exists_type2(setting).witness
+    if witness is None:
         raise NoSplitting("no Type-II splitting for this setting")
-    if reason == _TYPE1_REASON:
-        s = _type1_multiplier(setting)
-    elif reason == "n_r-even":
-        s = _compose_multiplier(setting, 1, _even_case_components(setting))
-    else:
-        s = _compose_multiplier(setting, 1, _odd_case_components(setting))
-    return self_checked(_every_other_coset(setting, s, SplittingKind.TYPE_II))
+    return witness
 
 
 def self_checked(sp: Splitting) -> Splitting:
@@ -422,19 +422,16 @@ def verify_splitting(sp: Splitting) -> VerifyResult:
     transcript the splitting carries.  Raises TooLarge when n exceeds
     MAX_WITNESS_LENGTH.
     """
-    return VerifyResult(
-        tuple(_verify(sp.setting, sp.t, sp.s, sp.p, sp.sp, sp.kind))
-    )
+    return VerifyResult(tuple(_verify(sp)))
 
 
 _FACTOR_CHECK = "factor-product-identity"
 
 
-def _verify(setting, t, s, p_elems, sp_elems, kind) -> list[CheckEntry]:
-    _check_witness_length(setting.n)
-    checks = _set_checks(setting, t, s, p_elems, sp_elems, kind)
-    ok = all(c.passed for c in checks)
-    return checks + [_factor_check(setting, t, p_elems, sp_elems, kind, ok)]
+def _verify(sp: Splitting) -> list[CheckEntry]:
+    _check_witness_length(sp.setting.n)
+    checks = _set_checks(sp.setting, sp.t, sp.s, sp.p, sp.sp, sp.kind)
+    return checks + [_factor_check(sp, all(c.passed for c in checks))]
 
 
 def _set_checks(setting, t, s, p_elems, sp_elems, kind):
@@ -525,22 +522,23 @@ def _set_checks(setting, t, s, p_elems, sp_elems, kind):
     return checks
 
 
-def _factor_check(setting, t, p, sps, kind, set_ok) -> CheckEntry:
+def _factor_check(sp: Splitting, set_ok: bool) -> CheckEntry:
     """The factor-product-identity entry: f_P * f_sP (* f_P0) = X^n - lambda^t.
 
     It runs only once every set check passed, t-unit among them.
     """
     if not set_ok:
         return CheckEntry(_FACTOR_CHECK, False, skipped=True)
+    st = sp.setting
     try:
-        tower = setting.tower
+        tower = st.tower
     except TooLarge:
         return CheckEntry(_FACTOR_CHECK, True, skipped=True)
-    prod = gf.poly_from_root_set(tower, p)
-    prod = prod * gf.poly_from_root_set(tower, sps)
-    if kind == SplittingKind.TYPE_II:
-        prod = prod * gf.poly_from_root_set(tower, _p0_range(setting, t))
-    return CheckEntry(_FACTOR_CHECK, prod == setting.binomial(t))
+    prod = gf.poly_from_root_set(tower, sp.p)
+    prod = prod * gf.poly_from_root_set(tower, sp.sp)
+    if sp.kind == SplittingKind.TYPE_II:
+        prod = prod * gf.poly_from_root_set(tower, _p0_range(st, sp.t))
+    return CheckEntry(_FACTOR_CHECK, prod == st.binomial(sp.t))
 
 
 # ---------------------------------------------------------------------------
@@ -625,10 +623,8 @@ def max_iso_orthogonal_dim(setting: CodeSetting) -> int:
     levels = []
     for d in divisors(setting.n_r_prime):
         m = nr // d
-        ordq = _mult_order(q, m)
-        g = pow(q, ordq >> nu2(ordq), m)
-        q2 = {pow(g, i, m) for i in range(1 << nu2(ordq))}
-        levels.append((m, q2, euler_phi(m) // euler_phi(r) // 2))
+        half = euler_phi(m) // euler_phi(r) // 2
+        levels.append((m, set(_q_two_part(q, m)), half))
     return max(
         sum(half for m, q2, half in levels if h % m not in q2) for h in sylow
     )
@@ -693,11 +689,10 @@ def verify_certificate(cert: dict) -> tuple[VerifyResult, dict]:
     t = cert.get("t", 1)
     s = cert["s"]
     kind = SplittingKind(cert.get("kind", "type-ii"))
-    p_elems = tuple(cert["P"])
-    sp_elems = tuple(cert["sP"])
+    sp = Splitting(setting, t, s, tuple(cert["P"]), tuple(cert["sP"]), kind)
     p0 = sorted(cert["P0"]) if "P0" in cert else None
     r = cert.get("r")
-    checks = _verify(setting, t, s, p_elems, sp_elems, kind)
+    checks = _verify(sp)  # one verification, not a nested verify_splitting
     if p0 is not None:
         checks.append(CheckEntry("p0-matches", p0 == _listed_p0(setting, t)))
     if r is not None:

@@ -94,11 +94,11 @@ def grs_splitting(plan: GrsPlan, lam=None) -> Splitting:
 def mds_report(q: int, lam=None) -> dict:
     """CLI payload: the pair's reports plus the distance/MDS verdict.
 
-    The exact distance, wt(g) for k <= 2 and enumerated for k >= 3, is
-    found when q^k fits the cap; otherwise the consecutive-root lower
-    bound is certified and the MDS flag is left undecided.  n*r = (q+1)*r divides q**2 - 1, so the
-    codes' tower is always F_{q^2}; a q whose square is over the field
-    cap is refused before the splitting is built.
+    The exact distance is enumerated when q^k fits the cap; otherwise
+    the consecutive-root lower bound is certified and the MDS flag is
+    left undecided.  n*r = (q+1)*r divides q**2 - 1, so the codes' tower
+    is always F_{q^2}; a q whose square is over the field cap is refused
+    before the splitting is built.
     """
     plan = grs_plan(q)
     field = gf.field_for_order(q)

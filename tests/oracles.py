@@ -303,6 +303,21 @@ def poly_eval(F, coeffs, x: int) -> int:
     return y
 
 
+def consecutive_root_bound_reference(code) -> int:
+    """One more than the longest cyclic run of defining-set members in
+    P_{n,lambda^t}, walked in ascending order from every start."""
+    ambient = p_set_reference(code.setting, code.t)
+    check = set(code.check.elems)
+    n = len(ambient)
+    longest = 0
+    for start in range(n):
+        length = 0
+        while length < n and ambient[(start + length) % n] not in check:
+            length += 1
+        longest = max(longest, length)
+    return longest + 1
+
+
 def min_distance_bruteforce(code) -> float:
     """Weight scan over every nonzero codeword, no scalar-class tricks."""
     if code.dim == 0:

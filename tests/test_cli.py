@@ -497,6 +497,14 @@ class TestAtlas:
         assert main(["atlas", "--max-q", "3", "--max-n", str(2**30)]) == 0
         assert json.loads(sink.getvalue())["q"] == 2
 
+    def test_box_over_the_field_cap_exits_two(self, capsys):
+        """1048583 is the least prime power above 2^20: a box reaching it
+        is refused before any line, and one stopping short passes."""
+        code, out, err = run(capsys, "atlas", "--max-q", "1048583", "--max-n", "1")
+        assert code == 2 and out == ""
+        assert "1048583" in err and "2^20" in err
+        cli._check_atlas_box(1048582, 1)
+
     def test_box_check_matches_every_setting(self, monkeypatch):
         """Refused exactly when some setting of the box has n*r over the cap."""
         from constacyclic.arith import divisors, factorize

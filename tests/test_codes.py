@@ -638,6 +638,27 @@ class TestDistance:
         assert distance_lower_bound(code) == 8
         assert min_distance(code) >= 8
 
+    def test_lower_bound_of_zero_code(self, st5):
+        """Every member of P is a root, so the run covers all n."""
+        assert distance_lower_bound(ConstaCode(IndexSet(st5, 1, ()))) == 7
+
+    @pytest.mark.parametrize("t", [1, -1])
+    def test_lower_bound_matches_reference(self, sweep_verdicts, t):
+        """The witness pair of every sweep setting, and a random code."""
+        rng = random.Random(71 + t)
+        checked = 0
+        for st, v in sweep_verdicts:
+            found = [random_invariant_set(rng, st, t)]
+            if v.exists and t == 1:
+                found += [c.check for c in v.witness.codes()]
+            for check in found:
+                code = ConstaCode(check)
+                assert distance_lower_bound(code) == (
+                    oracles.consecutive_root_bound_reference(code)
+                ), (st, check)
+                checked += 1
+        assert checked >= len(sweep_verdicts) > 500
+
 
 class TestInnerProduct:
     def test_zero_partner(self, st5):

@@ -413,7 +413,7 @@ class TestVerifyOnce:
         for w in sweep60_witnesses:
             for t, s, p, sp, kind in _mutations(w):
                 want = oracles.set_check_reference(w.setting, t, s, p, sp, kind)
-                got = _verify(w.setting, t, s, p, sp, kind)
+                got = _verify(Splitting(w.setting, t, s, p, sp, kind))
                 assert [(c.name, c.passed) for c in got[:-1]] == want, (
                     w.setting, t, s, kind
                 )
@@ -421,6 +421,33 @@ class TestVerifyOnce:
                     assert got[-1].passed, (w.setting, t, s, kind)
                 else:
                     assert got[-1] == skipped, (w.setting, t, s, kind)
+
+    @pytest.mark.parametrize(
+        "args, reason, squares",
+        [((2, 7, 1), "odd-square", 1), ((3, 20, 2), "TypeI-even-quotient", 0),
+         ((13, 14, 5), "n_r-even", 0)],
+    )
+    def test_one_existence_decision(self, monkeypatch, args, reason, squares):
+        """exists_type2 builds its witness from the reason it decided: one
+        Type-I test, and for odd n one square test.  construct_type2
+        returns that witness."""
+        from constacyclic import duadic
+
+        calls = {"exists_type1": 0, "_is_square_mod": 0}
+        for name in calls:
+            real = getattr(duadic, name)
+
+            def counted(*a, _name=name, _real=real):
+                calls[_name] += 1
+                return _real(*a)
+
+            monkeypatch.setattr(duadic, name, counted)
+        st = make_setting(*args)
+        v = exists_type2(st)
+        assert v.reason == reason and v.witness is not None
+        assert calls == {"exists_type1": 1, "_is_square_mod": squares}
+        w = construct_type2(st)
+        assert w == v.witness and w.transcript == v.witness.transcript
 
     def test_witness_carries_its_set_checks(self, sweep60_witnesses):
         for w in sweep60_witnesses:
