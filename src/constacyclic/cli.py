@@ -229,25 +229,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--file", help="certificate path (default: stdin)")
     p.set_defaults(func=_cmd_verify)
 
+    def add_code_args(p):
+        add_setting_args(p)
+        p.add_argument("--t", type=int, default=1, help="algebra exponent (default 1)")
+        p.add_argument("--P", required=True, help="check set, comma-separated residues")
+
     p = sub.add_parser("code", help="report a code given its check set")
-    add_setting_args(p)
-    p.add_argument("--t", type=int, default=1, help="algebra exponent (default 1)")
-    p.add_argument("--P", required=True, help="check set, comma-separated residues")
+    add_code_args(p)
     p.add_argument(
         "--distance", action="store_true", help="enumerate the exact minimum distance"
     )
     p.set_defaults(func=_cmd_code)
 
     p = sub.add_parser("dual", help="report the Euclidean dual code")
-    add_setting_args(p)
-    p.add_argument("--t", type=int, default=1)
-    p.add_argument("--P", required=True)
+    add_code_args(p)
     p.set_defaults(func=_cmd_dual)
 
     p = sub.add_parser("iso", help="decide iso-orthogonality of a code")
-    add_setting_args(p)
-    p.add_argument("--t", type=int, default=1)
-    p.add_argument("--P", required=True)
+    add_code_args(p)
     p.add_argument(
         "--iso-t",
         dest="iso_t",

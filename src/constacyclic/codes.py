@@ -232,12 +232,14 @@ class ConstaCode:
 
     @cached_property
     def _polys(self) -> tuple[Poly, Poly]:
-        """(check_poly, gen_poly); only the smaller root set is expanded."""
+        """(check_poly, gen_poly); only the smaller root set is expanded,
+        and the complement is built only when it is that set."""
         st = self.setting
         tower = st.tower  # refused over the field cap before P is listed
-        check, rest = self.check, self.check.complement()
-        swap = len(rest) < len(check)
-        small = gf.poly_from_root_set(tower, rest if swap else check)
+        swap = st.n - self.dim < self.dim
+        small = gf.poly_from_root_set(
+            tower, self.check.complement() if swap else self.check
+        )
         other, rem = divmod(st.binomial(self.t), small)
         if not rem.is_zero:
             raise Internal("root-set polynomial does not divide X^n - lambda^t")
@@ -418,18 +420,16 @@ def distance_lower_bound(code: ConstaCode) -> int:
     """Consecutive-root bound from the defining set.
 
     Walking P_{n,lambda^t} in arithmetic-progression order, a cyclic run
-    of L consecutive defining-set members forces distance >= L + 1.
+    of L consecutive defining-set members forces distance >= L + 1.  A
+    check-set member x sits at position x // r of that walk, so the bound
+    is the largest cyclic gap between consecutive positions: n for a
+    single member, n + 1 for the zero code.  P_{n,lambda^t} is not listed.
     """
     st = code.setting
-    check = set(code.check.elems)
-    seq = [x not in check for x in st.p_set(code.t)]
-    # longest cyclic run of True
-    doubled = seq + seq
-    best = run = 0
-    for flag in doubled:
-        run = run + 1 if flag else 0
-        best = max(best, run)
-    return min(best, st.n) + 1
+    pos = [x // st.r for x in code.check.elems]
+    if not pos:
+        return st.n + 1
+    return max((b - a) % st.n for a, b in zip(pos, pos[1:] + pos[:1])) or st.n
 
 
 def code_report(code: ConstaCode, distance=None) -> dict:

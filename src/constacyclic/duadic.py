@@ -247,64 +247,59 @@ def _even_case_components(setting: CodeSetting) -> dict[int, int]:
 def _odd_case_components(setting: CodeSetting) -> dict[int, int]:
     """Square roots of q with one extra factor of 2 in their order.
 
-    At an odd prime power w = p**v the unit q has either no square root
-    or exactly the two roots +-x, found by Tonelli-Shanks mod p and
-    Hensel lifting; the component is the least root whose order has
-    2-adic valuation one more than that of q.
+    At an odd prime power w = p**v the units form a cyclic group; let o
+    be the order of q there.  For odd o, q**((o + 1)/2) is q's root of
+    odd order and its negative, of order 2o, is the component.  For even
+    o both roots +-x have order 2o, and the component is the lesser.
+    Raises NoSplitting when q is not a square mod some w.
     """
     q = setting.q
     out = {}
     for p, v in factorize(setting.n_r_prime):
         w = p**v
-        target = nu2(_mult_order(q % w, w)) + 1
+        o = _mult_order(q % w, w)
+        if o % 2:
+            out[w] = w - pow(q, (o + 1) // 2, w)
+            continue
         x = _sqrt_mod_prime_power(q, p, v)
-        cands = [] if x is None else [
-            y for y in {x, w - x} if nu2(_mult_order(y, w)) == target
-        ]
-        if not cands:
+        if x is None:
             raise NoSplitting(
                 f"no admissible square root of q mod {w}; "
                 "existence precondition violated"
             )
-        out[w] = min(cands)
+        out[w] = min(x, w - x)
     return out
 
 
 def _sqrt_mod_prime_power(a: int, p: int, v: int) -> int | None:
-    """A square root of the unit a modulo p**v (p odd), or None."""
-    x = _sqrt_mod_prime(a % p, p)
-    if x is None:
-        return None
-    w = p
-    for _ in range(v - 1):
-        w *= p
-        # Newton step: x**2 = a mod w/p lifts to x - (x**2 - a)/(2x) mod w.
-        x = (x - (x * x - a) * pow(2 * x, -1, w)) % w
-    return x
+    """Tonelli-Shanks in the cyclic group (Z/p**v)^*: a square root of
+    the unit a modulo p**v (p odd), or None when there is none.
 
-
-def _sqrt_mod_prime(a: int, p: int) -> int | None:
-    """Tonelli-Shanks: a square root of the unit a modulo an odd prime p."""
+    The group has order p**(v-1) * (p - 1), whose 2-part is that of
+    p - 1.  A unit is a square mod p**v exactly when it is one mod p, so
+    a non-residue mod p generates the 2-part's powers here too.
+    """
     if pow(a, (p - 1) // 2, p) != 1:
         return None
+    w = p**v
     e = nu2(p - 1)
-    odd = (p - 1) >> e
+    odd = euler_phi(w) >> e
     z = 2
     while pow(z, (p - 1) // 2, p) == 1:
         z += 1
-    c = pow(z, odd, p)
-    x = pow(a, (odd + 1) // 2, p)
-    b = pow(a, odd, p)
+    c = pow(z, odd, w)
+    x = pow(a, (odd + 1) // 2, w)
+    b = pow(a, odd, w)
     while b != 1:
         # least i with b**(2**i) = 1; then fold the matching power of c in
         i, b2 = 0, b
         while b2 != 1:
-            b2 = b2 * b2 % p
+            b2 = b2 * b2 % w
             i += 1
-        d = pow(c, 1 << (e - i - 1), p)
-        x = x * d % p
-        c = d * d % p
-        b = b * c % p
+        d = pow(c, 1 << (e - i - 1), w)
+        x = x * d % w
+        c = d * d % w
+        b = b * c % w
         e = i
     return x
 
@@ -327,11 +322,7 @@ def _type1_multiplier(setting: CodeSetting) -> int:
     square is a power of q, glued with 1 at the odd prime powers."""
     m = setting.n_r * setting.r
     q = setting.q
-    qpow = set()
-    x = 1 % m
-    while x not in qpow:
-        qpow.add(x)
-        x = (x * q) % m
+    qpow = {pow(q, i, m) for i in range(_mult_order(q, m))}
     s0 = None
     for x in range(1 % m, m, setting.r):
         if x not in qpow and (x * x) % m in qpow:
@@ -416,9 +407,10 @@ def self_checked(sp: Splitting) -> Splitting:
 def verify_splitting(sp: Splitting) -> VerifyResult:
     """Re-prove every splitting invariant, set-wise and polynomially.
 
-    The set checks run first, then the factor-product identity, which
-    is recorded as skipped when a set check failed or the extension
-    field it needs exceeds the size cap.  Every check runs, whatever
+    The set checks run first, then the factor-product identity, over
+    the class P_{n,lambda^t} that the parts then tile.  That entry is
+    recorded as skipped when a set check failed or the extension field
+    it needs exceeds the size cap.  Every check runs, whatever
     transcript the splitting carries.  Raises TooLarge when n exceeds
     MAX_WITNESS_LENGTH.
     """
@@ -525,7 +517,9 @@ def _set_checks(setting, t, s, p_elems, sp_elems, kind):
 def _factor_check(sp: Splitting, set_ok: bool) -> CheckEntry:
     """The factor-product-identity entry: f_P * f_sP (* f_P0) = X^n - lambda^t.
 
-    It runs only once every set check passed, t-unit among them.
+    It runs only once every set check passed, t-unit among them.  Then
+    P, sP and, for a Type-II splitting, P0 tile P_{n,lambda^t}, so the
+    product of their check polynomials is that of the whole class.
     """
     if not set_ok:
         return CheckEntry(_FACTOR_CHECK, False, skipped=True)
@@ -534,11 +528,8 @@ def _factor_check(sp: Splitting, set_ok: bool) -> CheckEntry:
         tower = st.tower
     except TooLarge:
         return CheckEntry(_FACTOR_CHECK, True, skipped=True)
-    prod = gf.poly_from_root_set(tower, sp.p)
-    prod = prod * gf.poly_from_root_set(tower, sp.sp)
-    if sp.kind == SplittingKind.TYPE_II:
-        prod = prod * gf.poly_from_root_set(tower, _p0_range(st, sp.t))
-    return CheckEntry(_FACTOR_CHECK, prod == st.binomial(sp.t))
+    whole = gf.poly_from_root_set(tower, st.p_set(sp.t))
+    return CheckEntry(_FACTOR_CHECK, whole == st.binomial(sp.t))
 
 
 # ---------------------------------------------------------------------------

@@ -331,8 +331,8 @@ def make_field(p: int, m: int, /) -> FieldSpec:
         raise NotPrime(f"{p} is not prime")
     if m < 1:
         raise ValueError(f"extension degree must be positive, got {m}")
-    # p**21 > 2**20 for every prime, so no large power is built
-    if p ** min(m, 21) > MAX_FIELD_SIZE:
+    # p**c > MAX_FIELD_SIZE for c its bit length, so no large power is built
+    if p ** min(m, MAX_FIELD_SIZE.bit_length()) > MAX_FIELD_SIZE:
         raise TooLarge(f"field size {p}^{m} exceeds 2^20")
     modulus = next(_irreducible_walk(p, m), None)
     if modulus is None:

@@ -159,6 +159,23 @@ class TestCodeConstruction:
                 assert code.check_poly * code.gen_poly == st.binomial(t)
         assert sides == {True, False}
 
+    def test_smaller_check_set_builds_no_complement(self, st5, monkeypatch):
+        """The complement is built only when it is the side expanded."""
+        built = []
+        real = IndexSet.complement
+
+        def spy(self):
+            built.append(self)
+            return real(self)
+
+        monkeypatch.setattr(IndexSet, "complement", spy)
+        small = ConstaCode(IndexSet(st5, 1, (1, 5)))
+        assert small.check_poly * small.gen_poly == st5.binomial(1)
+        assert built == []
+        big = ConstaCode(IndexSet(st5, 1, (1, 5, 13, 17)))
+        assert big.check_poly * big.gen_poly == st5.binomial(1)
+        assert built == [big.check]
+
     def test_lattice_inclusion(self, tower_friendly):
         rng = random.Random(23)
         for st in rng.sample(tower_friendly, 12):
@@ -641,6 +658,14 @@ class TestDistance:
     def test_lower_bound_of_zero_code(self, st5):
         """Every member of P is a root, so the run covers all n."""
         assert distance_lower_bound(ConstaCode(IndexSet(st5, 1, ()))) == 7
+
+    def test_lower_bound_above_witness_cap(self):
+        """The bound reads the check set's gaps and never lists P, so it
+        is not refused where P would be too long to list."""
+        from constacyclic.codes import MAX_WITNESS_LENGTH
+
+        st = make_setting(2, 2 * MAX_WITNESS_LENGTH + 1, 1)
+        assert distance_lower_bound(ConstaCode(IndexSet(st, 1, (0,)))) == st.n
 
     @pytest.mark.parametrize("t", [1, -1])
     def test_lower_bound_matches_reference(self, sweep_verdicts, t):

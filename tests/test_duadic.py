@@ -176,8 +176,9 @@ class TestExistence:
     def test_odd_components_match_scan(self):
         from constacyclic.duadic import _odd_case_components
 
+        # and prime powers with v >= 3 beyond that range
         for q in range(2, 17):
-            for m in range(1, 2001, 2):
+            for m in (*range(1, 2001, 2), 2187, 3125, 2401, 4913):
                 if math.gcd(q, m) != 1:
                     continue
                 want = oracles.odd_case_components_scan(q, m)
@@ -187,6 +188,30 @@ class TestExistence:
                         _odd_case_components(fake)
                 else:
                     assert _odd_case_components(fake) == want, (q, m)
+
+    @pytest.mark.parametrize("m", [75, 1225])
+    def test_odd_components_one_order_per_prime_power(self, m, monkeypatch):
+        """The order of q picks the root: one _mult_order per prime power."""
+        from constacyclic import duadic
+        from constacyclic.arith import factorize
+
+        calls = []
+        real = duadic._mult_order
+
+        def counted(a, w):
+            calls.append(w)
+            return real(a, w)
+
+        monkeypatch.setattr(duadic, "_mult_order", counted)
+        checked = 0
+        for q in range(2, 17):
+            if math.gcd(q, m) != 1 or oracles.odd_case_components_scan(q, m) is None:
+                continue
+            calls.clear()
+            duadic._odd_case_components(SimpleNamespace(q=q, n_r_prime=m))
+            assert sorted(calls) == [p**v for p, v in factorize(m)], q
+            checked += 1
+        assert checked > 0
 
     def test_reason_clauses_mutually_exclusive(self, sweep):
         for st in sweep:
@@ -283,6 +308,34 @@ class TestConstruction:
             nr = st.nr
             assert {(w.s * w.s * x) % nr for x in w.p} == set(w.p)
             assert verify_splitting(w).ok
+
+
+class TestFactorEntry:
+    def test_whole_class_matches_three_part_product(self, sweep_verdicts):
+        """The factor entry, expanded over P_{n,lambda^t}, gives the same
+        boolean as f_P * f_sP (* f_P0) for every sweep witness under the
+        field cap, and for every Type-I splitting there."""
+        splittings = []
+        for st, v in sweep_verdicts:
+            try:
+                st.tower
+            except TooLarge:
+                continue
+            if v.exists:
+                splittings.append(v.witness)
+            if exists_type1(st):
+                splittings.append(construct_type1(st))
+        kinds = set()
+        for w in splittings:
+            st, tower = w.setting, w.setting.tower
+            prod = poly_from_root_set(tower, w.p) * poly_from_root_set(tower, w.sp)
+            if w.kind == SplittingKind.TYPE_II:
+                prod = prod * poly_from_root_set(tower, p0_set(st, w.t))
+            entry = verify_splitting(w).checks[-1]
+            assert entry.name == "factor-product-identity" and not entry.skipped
+            assert entry.passed == (prod == st.binomial(w.t)), (st, w.kind)
+            kinds.add(w.kind)
+        assert kinds == set(SplittingKind) and len(splittings) > 300
 
 
 class TestVerify:

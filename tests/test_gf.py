@@ -152,6 +152,18 @@ class TestMakeField:
         with pytest.raises(TooLarge):
             make_field(2, 21)
 
+    def test_cap_follows_the_field_size_cap(self, monkeypatch):
+        """The degree cut-off is read from MAX_FIELD_SIZE, so a raised cap
+        still refuses 2^25 before any modulus is searched for."""
+
+        def no_walk(p, d):
+            raise AssertionError("modulus search reached above the cap")
+
+        monkeypatch.setattr(gf, "MAX_FIELD_SIZE", 1 << 24)
+        monkeypatch.setattr(gf, "_irreducible_walk", no_walk)
+        with pytest.raises(TooLarge):
+            make_field.__wrapped__(2, 25)
+
     def test_cap_decided_from_degree(self):
         t0 = time.perf_counter()
         with pytest.raises(TooLarge, match="13\\^4000000"):
