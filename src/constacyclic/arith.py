@@ -67,8 +67,13 @@ def _mult_order(a: int, m: int) -> int:
     a %= m
     if math.gcd(a, m) != 1:
         raise NonUnit(f"{a} is not a unit mod {m}")
-    k = euler_phi(m)
+    return _order_dividing(euler_phi(m), lambda e: pow(a, e, m) == 1)
+
+
+def _order_dividing(k: int, is_one) -> int:
+    """Order of an element whose order divides k, is_one(e) saying if its
+    e-th power is 1: each prime of k is stripped while the power stays 1."""
     for p, _ in factorize(k):
-        while k % p == 0 and pow(a, k // p, m) == 1:
+        while k % p == 0 and is_one(k // p):
             k //= p
     return k

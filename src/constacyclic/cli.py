@@ -119,6 +119,7 @@ def _cmd_code(args) -> int:
 
 def _cmd_dual(args) -> int:
     code = _code_from_args(args)
+    code.setting.tower  # refused over the field cap before P is listed
     _emit(codes.code_report(codes.dual(code)))
     return 0
 
@@ -149,7 +150,8 @@ def _cmd_mds(args) -> int:
 
 
 def _check_atlas_box(max_q: int, max_n: int) -> None:
-    """Refuse a box holding a field over 2^20 or a modulus n*r over 2^31.
+    """Refuse a box holding a field over the field-size cap or a modulus
+    n*r over 2^31.
 
     The atlas prints as it goes, so the whole box is checked before its
     first line.  Within a field F_q the largest order is r = q - 1 and the
@@ -159,7 +161,8 @@ def _check_atlas_box(max_q: int, max_n: int) -> None:
     """
     for q in range(gf.MAX_FIELD_SIZE + 1, max_q + 1):
         if len(factorize(q)) == 1:
-            raise TooLarge(f"atlas box holds field size {q}, over the 2^20 cap")
+            cap = gf.MAX_FIELD_SIZE.bit_length() - 1
+            raise TooLarge(f"atlas box holds field size {q}, over the 2^{cap} cap")
     for q in range(min(max_q, gf.MAX_FIELD_SIZE), 1, -1):
         if (q - 1) * max_n <= MAX_MODULUS:
             break

@@ -295,7 +295,10 @@ class IsometryDesc:
 
 
 def isometry(setting: CodeSetting, t: int) -> IsometryDesc:
-    """The isometry of exponent t, with its permutation/scalar data."""
+    """The isometry of exponent t, with its permutation/scalar data.
+
+    Raises TooLarge above MAX_WITNESS_LENGTH, before the n-long data."""
+    _check_witness_length(setting.n)
     t = setting.unit_check(t)
     nr = setting.nr
     tbar = pow(t, -1, nr)

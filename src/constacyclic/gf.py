@@ -21,12 +21,13 @@ with j + 1 base-p digits are embedded from those with j.  Each of these
 tables is a few packed products of a vector by one scalar (below), not
 one scalar multiply per entry.  Every table of roots of unity (zeta's,
 the subfield's, np_tables' exp) comes from _root_powers.
-poly_from_root_set multiplies, over F_q, the minimal polynomials
-of the q-cosets of its root set.  Each tower expands a coset's minimal
-polynomial prod(X - theta**x) once, multiplying the linear factors over
-the extension in pairs, then pairs of pairs, by packed products (below),
-and caches it; each call then pays only the F_q products.  Callers that
-need a complementary pair still expand the smaller set and divide
+poly_from_root_set walks each q-coset of its root set once, refusing
+the set at the first step that leaves it, and multiplies the cosets'
+minimal polynomials over F_q.  Each tower expands a coset's minimal
+polynomial prod(X - theta**x) once over the extension and caches it.
+Both products are one balanced product (_product): pairs, then pairs
+of pairs, by packed products (below).  Callers that need a
+complementary pair still expand the smaller set and divide
 (codes.ConstaCode).  A tower over a prime field, like one of degree 1,
 embeds by identity: F_p is labels 0..p-1 of every extension.
 
@@ -68,7 +69,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product as _iterproduct
 
-from .arith import _mult_order, factorize
+from .arith import _mult_order, _order_dividing, factorize
 from .errors import (
     DivideByZero,
     Internal,
@@ -259,10 +260,7 @@ class FieldSpec:
                 raise DivideByZero("zero has no multiplicative order")
             if not 0 < a < self.q:
                 raise ValueError(f"label {a} out of range for {self!r}")
-            k = self.q - 1
-            for p, _ in factorize(k):
-                while k % p == 0 and self.pow(a, k // p) == 1:
-                    k //= p
+            k = _order_dividing(self.q - 1, lambda e: self.pow(a, e) == 1)
             self._orders[a] = k
         return k
 
@@ -333,7 +331,7 @@ def make_field(p: int, m: int, /) -> FieldSpec:
         raise ValueError(f"extension degree must be positive, got {m}")
     # p**c > MAX_FIELD_SIZE for c its bit length, so no large power is built
     if p ** min(m, MAX_FIELD_SIZE.bit_length()) > MAX_FIELD_SIZE:
-        raise TooLarge(f"field size {p}^{m} exceeds 2^20")
+        raise TooLarge(f"field size {p}^{m} exceeds 2^{MAX_FIELD_SIZE.bit_length() - 1}")
     modulus = next(_irreducible_walk(p, m), None)
     if modulus is None:
         raise Internal(f"no irreducible of degree {m} over F_{p}")
@@ -346,7 +344,7 @@ def field_for_order(q: int) -> FieldSpec:
     q must be an integer: a float is refused with TypeError."""
     q = operator.index(q)
     if q > MAX_FIELD_SIZE:
-        raise TooLarge(f"field size {q} exceeds 2^20")
+        raise TooLarge(f"field size {q} exceeds 2^{MAX_FIELD_SIZE.bit_length() - 1}")
     fac = factorize(q) if q >= 2 else ()
     if len(fac) != 1:
         raise ValueError(f"{q} is not a prime power")
@@ -628,7 +626,8 @@ class FieldTower:
         self._embed_table = embed_table
         self.theta_pows = theta_pows
         self.theta = theta_pows[1 % self.nr]  # 1 when nr = 1
-        self._project_map: dict[int, int] | None = None
+        if embed_table is not None:
+            self._project_map = {img: a for a, img in enumerate(embed_table)}
         self._min_polys: dict[int, Poly] = {}
 
     def embed(self, label: int) -> int:
@@ -641,10 +640,6 @@ class FieldTower:
         """Base-field label of an extension element, or None if outside."""
         if self._embed_table is None:
             return label if label < self.base.q else None
-        if self._project_map is None:
-            self._project_map = {
-                img: a for a, img in enumerate(self._embed_table)
-            }
         return self._project_map.get(label)
 
     def _min_poly(self, coset) -> Poly:
@@ -653,31 +648,32 @@ class FieldTower:
         coset lists the q-coset as poly_from_root_set walks it, from its
         least residue mod nr; that residue keys the tower's cache.  The
         first call expands prod(X - theta**x) over the coset in the
-        extension, multiplying the linear factors in pairs, then pairs of
-        pairs, with Poly's packed product, and projects the coefficients
-        to F_q; later calls return the cached polynomial.
+        extension as one balanced product (_product) of the linear
+        factors and projects the coefficients to F_q; later calls return
+        the cached polynomial.
         """
         rep = coset[0]
         f = self._min_polys.get(rep)
         if f is None:
             ext = self.ext
-            fs = [Poly(ext, (ext.neg(self.theta_pows[x]), 1)) for x in coset]
-            while len(fs) > 1:
-                # an odd one out waits for the next round
-                fs = [a * b for a, b in zip(fs[::2], fs[1::2])] + fs[len(fs) & ~1:]
-            coeffs = []
-            for c in fs[0].coeffs:
-                down = self.project(c)
-                if down is None:
-                    raise NotInvariant(
-                        "coefficients do not descend to the base field"
-                    )
-                coeffs.append(down)
+            g = _product([Poly(ext, (ext.neg(self.theta_pows[x]), 1)) for x in coset])
+            coeffs = [self.project(c) for c in g.coeffs]
+            if None in coeffs:
+                raise NotInvariant("coefficients do not descend to the base field")
             f = self._min_polys[rep] = Poly(self.base, tuple(coeffs))
         return f
 
     def __repr__(self) -> str:
         return f"FieldTower({self.base!r} in {self.ext!r}, d={self.d})"
+
+
+def _product(fs: list[Poly]) -> Poly:
+    """Product of a non-empty list of polynomials: pairs, then pairs of
+    pairs (von zur Gathen and Gerhard, section 10.1)."""
+    while len(fs) > 1:
+        # an odd one out waits for the next round
+        fs = [a * b for a, b in zip(fs[::2], fs[1::2])] + fs[len(fs) & ~1:]
+    return fs[0]
 
 
 def _powers(F: FieldSpec, z: int, count: int) -> list[int]:
@@ -784,26 +780,25 @@ def poly_from_root_set(tower: FieldTower, root_exponents) -> Poly:
     The exponent set must be closed under multiplication by q mod nr;
     exactly then it is a union of q-cosets and the product descends to
     the base field.  Each coset is walked once, from its least residue,
-    and the result is the F_q product of the tower's cached minimal
-    polynomials (FieldTower._min_poly) in increasing order of that residue,
-    the first taken as it is rather than multiplied by 1.
+    and a walk that leaves the set raises NotInvariant: q is a unit mod
+    nr, so the set is closed exactly when no walk leaves it.  The result
+    is one balanced product (_product) over F_q of the tower's cached
+    minimal polynomials (FieldTower._min_poly).
     """
     elems = getattr(root_exponents, "elems", root_exponents)
     nr, q = tower.nr, tower.base.q
-    S = sorted({x % nr for x in elems})
-    left = set(S)
-    if {(q * x) % nr for x in S} != left:
-        raise NotInvariant("root exponent set is not closed under the field size")
-    prod = None
-    for rep in S:
+    left = {x % nr for x in elems}
+    fs = []
+    for rep in sorted(left):
         if rep not in left:
             continue
         coset = [rep]
         y = (q * rep) % nr
         while y != rep:
+            if y not in left:
+                raise NotInvariant("root exponent set is not closed under the field size")
             coset.append(y)
             y = (q * y) % nr
         left.difference_update(coset)
-        f = tower._min_poly(coset)
-        prod = f if prod is None else prod * f
-    return poly_one(tower.base) if prod is None else prod
+        fs.append(tower._min_poly(coset))
+    return _product(fs or [poly_one(tower.base)])

@@ -75,6 +75,12 @@ class TestNu2:
             nu2(0)
 
 
+class TestFactorize:
+    def test_rejects_zero(self):
+        with pytest.raises(ValueError, match="cannot factor 0"):
+            factorize(0)
+
+
 def glue(nr, r, r_side, odd_parts):
     return _compose_multiplier(SimpleNamespace(nr=nr, r=r), r_side, odd_parts)
 

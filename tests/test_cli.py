@@ -10,7 +10,7 @@ import pytest
 import constacyclic
 from constacyclic import cli, exists_type2, make_setting
 from constacyclic.cli import main
-from constacyclic.errors import DivideByZero, Internal, NoSplitting
+from constacyclic.errors import DivideByZero, Internal, NoSplitting, TooLarge
 
 from conftest import sweep_settings
 
@@ -497,13 +497,17 @@ class TestAtlas:
         assert main(["atlas", "--max-q", "3", "--max-n", str(2**30)]) == 0
         assert json.loads(sink.getvalue())["q"] == 2
 
-    def test_box_over_the_field_cap_exits_two(self, capsys):
+    def test_box_over_the_field_cap_exits_two(self, capsys, monkeypatch):
         """1048583 is the least prime power above 2^20: a box reaching it
-        is refused before any line, and one stopping short passes."""
+        is refused before any line, and one stopping short passes.  The
+        message states the cap that is set."""
         code, out, err = run(capsys, "atlas", "--max-q", "1048583", "--max-n", "1")
         assert code == 2 and out == ""
         assert "1048583" in err and "2^20" in err
         cli._check_atlas_box(1048582, 1)
+        monkeypatch.setattr(cli.gf, "MAX_FIELD_SIZE", 1 << 10)
+        with pytest.raises(TooLarge, match="field size 1031, over the 2\\^10 cap"):
+            cli._check_atlas_box(1031, 1)
 
     def test_box_check_matches_every_setting(self, monkeypatch):
         """Refused exactly when some setting of the box has n*r over the cap."""
@@ -609,8 +613,10 @@ class TestWitnessCap:
             ),
             (["code", *MERSENNE_31, "--P", COSET_OF_1], "", None),
             (["dual", *MERSENNE_31, "--P", COSET_OF_1], "", None),
+            # below the witness cap, over the field cap: GF(2^22)
+            (["dual", "--q", "2", "--n", "4194303", "--lambda", "1", "--P", "0"], "", None),
         ],
-        ids=["exists", "split", "verify", "code", "dual"],
+        ids=["exists", "split", "verify", "code", "dual", "dual-tower-first"],
     )
     def test_over_the_cap_exits_two_promptly(self, argv, stdin, payload):
         """split, verify, code and dual are refused with exit 2; exists,
@@ -633,6 +639,19 @@ class TestWitnessCap:
         assert proc.returncode == 2, proc.stderr
         assert proc.stdout == ""
         assert proc.stderr.startswith("error:")
+
+    def test_dual_asks_for_the_tower_before_listing(self, monkeypatch, capsys):
+        """Over the field cap, dual is refused before P_{n,lambda^t} is listed."""
+
+        def no_listing(setting, t=1):
+            raise AssertionError("P_{n,lambda^t} listed before the tower")
+
+        monkeypatch.setattr(constacyclic.codes.CodeSetting, "p_set", no_listing)
+        argv = ["dual", "--q", "2", "--n", "4194303", "--lambda", "1", "--P", "0"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: field size 2^22 exceeds 2^20\n"
 
 
 def _random_json(rng, depth=0):

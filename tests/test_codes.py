@@ -18,7 +18,7 @@ from constacyclic import (
     poly_to_text,
 )
 from constacyclic.codes import INFINITY
-from constacyclic.errors import NonUnit, NotInvariant, TooLarge
+from constacyclic.errors import NonUnit, NotInvariant, SettingMismatch, TooLarge
 
 import oracles
 from conftest import random_invariant_set
@@ -309,6 +309,11 @@ class TestApplyIsometry:
             isometry(st13, tbar), apply_isometry(isometry(st13, t), code)
         )
         assert back == code
+
+    def test_refuses_a_code_of_another_setting(self, st5, st13):
+        code = ConstaCode(IndexSet(st13, 1, (25, 29, 33, 37, 41, 45)))
+        with pytest.raises(SettingMismatch, match="different settings"):
+            apply_isometry(isometry(st5, 1), code)
 
     def test_check_set_image_matches_word_image(self, st5):
         # the monomial map of the words spans exactly the image code

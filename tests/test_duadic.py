@@ -21,6 +21,7 @@ from constacyclic import (
     exists_type1,
     exists_type2,
     is_iso_orthogonal,
+    isometry,
     make_setting,
     max_iso_orthogonal_dim,
     odd_like_pair,
@@ -677,11 +678,13 @@ class TestWitnessCap:
         assert max_iso_orthogonal_dim(st13) == 6
 
     def test_max_iso_orthogonal_dim_refused_at_once_over_the_cap(self):
+        """So is isometry, before its n-long permutation and scalars."""
         st = make_setting(2, (1 << 22) + 1, 1)
-        t0 = time.perf_counter()
-        with pytest.raises(TooLarge, match="witness cap"):
-            max_iso_orthogonal_dim(st)
-        assert time.perf_counter() - t0 < 0.5
+        for refuse in (max_iso_orthogonal_dim, lambda st: isometry(st, 1)):
+            t0 = time.perf_counter()
+            with pytest.raises(TooLarge, match="witness cap"):
+                refuse(st)
+            assert time.perf_counter() - t0 < 0.5
 
     def test_cli_refuses_over_the_cap(self, monkeypatch, capsys):
         """split refuses; exists prints the verdict alone, exit 0 when true
@@ -803,6 +806,15 @@ class TestEvenDualIsOdd:
         for st, v in sweep_verdicts:
             if v.exists:
                 assert even_dual_is_odd(v.witness), st
+
+    def test_refuses_type1(self):
+        with pytest.raises(ValueError, match="requires a Type-II splitting"):
+            even_dual_is_odd(construct_type1(make_setting(3, 20, 2)))
+
+    def test_refuses_other_exponents(self, st5):
+        sp = dataclasses.replace(construct_type2(st5), t=5)
+        with pytest.raises(ValueError, match="stated for exponent t = 1"):
+            even_dual_is_odd(sp)
 
 
 class TestMaxIsoOrthogonalDim:

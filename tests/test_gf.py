@@ -19,7 +19,14 @@ from constacyclic import (
     poly_to_text,
 )
 from constacyclic.arith import _mult_order, divisors
-from constacyclic.errors import DivideByZero, Internal, NotInvariant, NotPrime, TooLarge
+from constacyclic.errors import (
+    DivideByZero,
+    Internal,
+    NotInvariant,
+    NotPrime,
+    SettingMismatch,
+    TooLarge,
+)
 from constacyclic.gf import poly_one, poly_x_pow_minus
 
 from oracles import (
@@ -151,6 +158,8 @@ class TestMakeField:
             make_field(6, 1)
         with pytest.raises(TooLarge):
             make_field(2, 21)
+        with pytest.raises(ValueError, match="extension degree must be positive"):
+            make_field(5, 0)
 
     def test_cap_follows_the_field_size_cap(self, monkeypatch):
         """The degree cut-off is read from MAX_FIELD_SIZE, so a raised cap
@@ -161,8 +170,10 @@ class TestMakeField:
 
         monkeypatch.setattr(gf, "MAX_FIELD_SIZE", 1 << 24)
         monkeypatch.setattr(gf, "_irreducible_walk", no_walk)
-        with pytest.raises(TooLarge):
+        with pytest.raises(TooLarge, match="exceeds 2\\^24"):
             make_field.__wrapped__(2, 25)
+        with pytest.raises(TooLarge, match="field size 33554432 exceeds 2\\^24"):
+            gf.field_for_order(1 << 25)
 
     def test_cap_decided_from_degree(self):
         t0 = time.perf_counter()
@@ -230,6 +241,20 @@ class TestFieldArithmetic:
         assert F.order_of(2) == 12
         with pytest.raises(DivideByZero):
             F.order_of(0)
+
+    def test_inverse_of_zero(self):
+        for F in [make_field(13, 1), make_field(2, 4), make_field(3, 2)]:
+            with pytest.raises(DivideByZero):
+                F.inv(0)
+
+    @pytest.mark.parametrize("p,m", [(2, 4), (3, 2), (5, 3)])
+    def test_negative_power_over_extension(self, p, m):
+        """a**-e is (a**-1)**e, and a**-e * a**e is 1."""
+        F = make_field(p, m)
+        for a in range(1, F.q):
+            for e in range(1, 8):
+                assert F.pow(a, -e) == F.pow(F.inv(a), e)
+                assert F.mul(F.pow(a, -e), F.pow(a, e)) == 1
 
     def test_least_of_order_matches_element_order(self):
         """Every r | q - 1 for every q <= 256, against orders found by
@@ -303,6 +328,12 @@ class TestFieldArithmetic:
                 assert add[a, b] == F.add(a, b)
                 assert mul[a, b] == F.mul(a, b)
 
+    def test_tables_refused_above_the_limit(self):
+        F = make_field(2, 11)
+        assert F.q > gf._NP_TABLE_LIMIT
+        with pytest.raises(TooLarge, match="operation tables unsupported for field size 2048"):
+            F.np_tables()
+
 
 class TestPoly:
     def test_product_golden_f5(self):
@@ -337,6 +368,10 @@ class TestPoly:
         F = make_field(5, 1)
         with pytest.raises(DivideByZero):
             divmod(poly_one(F), Poly(F, ()))
+
+    def test_product_across_fields(self):
+        with pytest.raises(SettingMismatch, match="different fields"):
+            Poly(make_field(5, 1), (1, 1)) * Poly(make_field(7, 1), (1, 1))
 
     def test_text_round_trip(self):
         F4 = make_field(2, 2)
@@ -561,6 +596,9 @@ class TestPolyFromRootSet:
         st = make_setting(5, 6, 2)
         with pytest.raises(NotInvariant):
             poly_from_root_set(st.tower, (1,))  # 5*1 = 5 missing
+        with pytest.raises(NotInvariant):
+            # the coset {1, 5} is closed; the walk from 9 leaves at 5*9 = 21
+            poly_from_root_set(st.tower, (1, 5, 9))
 
     def test_complement_product_identity(self, tower_friendly):
         rng = random.Random(17)
