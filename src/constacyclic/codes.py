@@ -196,9 +196,6 @@ class IndexSet:
             st, (u * self.t) % st.nr, tuple((u * x) % st.nr for x in self.elems)
         )
 
-    def __len__(self) -> int:
-        return len(self.elems)
-
     def _key(self):
         return (self.setting, self.t % self.setting.r, self.elems)
 

@@ -16,8 +16,9 @@ multiplier.
 A splitting is plain data: its P and sP are tuples of residues, which
 verify_splitting alone checks.  Splittings are built and checked on
 P_{n,lambda^t} by index: a member x is t mod r, so i = x // r is exact
-and runs over [0, n).  One bytearray(n) then labels every member P, sP
-or P0, and P and sP are read out of it already sorted.  Witnesses and
+and runs over [0, n).  A construction labels every member P, sP or P0
+in one bytearray(n) and reads P and sP out of it already sorted; the
+checks hold each set as a bytearray(n) indicator.  Witnesses and
 certificates are refused above MAX_WITNESS_LENGTH, before anything of
 size n is allocated.  Each built splitting, Type-I or Type-II, is
 verified once, in full, by self_checked.
@@ -36,9 +37,9 @@ from .codes import CodeSetting, ConstaCode, IndexSet, _check_witness_length, mak
 from .errors import Internal, NoSplitting, TooLarge
 from .gf import Poly
 
-# Index labels: one value each while constructing, bits while checking.
+# Index labels of a construction, one value each
 _P, _SP, _P0 = 1, 2, 4
-# bytes.translate tables keeping one label bit of every index
+# bytes.translate tables keeping one label of every index
 _ONLY = {bit: bytes(v & bit for v in range(256)) for bit in (_P, _SP)}
 _TYPE1_REASON = "TypeI-even-quotient"
 
@@ -430,88 +431,74 @@ def _set_checks(setting, t, s, p_elems, sp_elems, kind):
     """The set-level checks, as CheckEntry values in transcript order.
 
     A residue reduced mod nr lies in P_{n,lambda^t} exactly when it is
-    congruent to t mod r.  Residues of that class are labelled by index
-    in one bytearray(n), with bit _P for P, _SP for sP and, for a
-    Type-II splitting with t a unit, _P0 for P0.  Residues of any other
-    class, which only a hostile certificate holds, go to a side set per
-    part.  An image a*X is built the same way, so each check compares
-    labels and side sets and gives the boolean of the literal set
-    comparison.  q is a unit mod nr, so q*X = X exactly when q*X lies in
-    X; s need not be a unit, so sP = s*P and s^2*P = P are compared whole.
+    congruent to t mod r.  Every set is held as a pair: a bytearray(n)
+    indicator, 1 at index y // r for each member y of that class, and
+    the set of its other members, which only a hostile certificate
+    holds.  P and sP are their images under 1; each invariance check
+    compares the pair of an image a*X with that of P or sP, which gives
+    the boolean of the literal set comparison.  q is a unit mod nr, so
+    q*X = X exactly when q*X lies in X; s need not be a unit, so
+    sP = s*P and s^2*P = P are compared whole.  Disjointness and cover
+    read the indicators of P, sP and (Type-II, t a unit) P0 as ints of
+    one bit per index: the parts are disjoint when no two share a bit,
+    and cover the class when their union has n bits set (none when t is
+    not a unit).
     """
-    checks: list[CheckEntry] = []
-
-    def add(name: str, passed: bool):
-        checks.append(CheckEntry(name, passed))
-
     n, nr, r, q = setting.n, setting.nr, setting.r, setting.q
     t %= nr
     s %= nr
     h = t % r
     unit = math.gcd(t, nr) == 1
-    lab = bytearray(n)
 
-    def mark(elems, bit):
-        """Label the class-h residues of elems; return the others, reduced."""
-        other = set()
-        for x in elems:
-            x %= nr
-            if x % r == h:
-                lab[x // r] |= bit
-            else:
-                other.add(x)
-        return other
+    def image(a, elems, pure=False):
+        """a*X mod nr as its class-h indicator and its other members.
 
-    def image(a, elems, bit, foreign):
-        """a*X mod nr as its labels of class h and its other residues.
-
-        foreign holds the residues of X outside class h.  A multiplier
-        that is 1 mod r keeps every residue in its class, so without
-        foreign residues every image is labelled.
+        pure says X has no member outside class h: a multiplier that
+        is 1 mod r then keeps every image in the class.
         """
-        img, other = bytearray(n), set()
-        if a % r == 1 % r and not foreign:
+        ind, other = bytearray(n), set()
+        if pure and a % r == 1 % r:
             for x in elems:
-                img[a * x % nr // r] = bit
-            return img, other
+                ind[a * x % nr // r] = 1
+            return ind, other
         for x in elems:
             y = a * x % nr
             if y % r == h:
-                img[y // r] = bit
+                ind[y // r] = 1
             else:
                 other.add(y)
-        return img, other
+        return ind, other
 
+    P = image(1, p_elems)
+    SP = image(1, sp_elems)
+    fp, fsp = P[1], SP[1]
+    # one bit per index: the indicator's bytes read as binary digits
+    digits = bytes.maketrans(b"\0\1", b"01")
+    a, b = (int(X[0].translate(digits), 2) for X in (P, SP))
+    c = 0
     if kind == SplittingKind.TYPE_II and unit:
-        p0 = _p0_range(setting, t)
-        lab[p0.start // r :: p0.step // r] = bytes([_P0]) * len(p0)
-    fp = mark(p_elems, _P)
-    fsp = mark(sp_elems, _SP)
-    p_bits, sp_bits = lab.translate(_ONLY[_P]), lab.translate(_ONLY[_SP])
-
-    add("t-unit", unit)
-    add(
-        "s-in-multiplier-group",
-        math.gcd(s, nr) == 1 and s % r == 1 % r,
-    )
-    p_in = not fp and (unit or p_bits.count(0) == n)
-    sp_in = not fsp and (unit or sp_bits.count(0) == n)
-    add("p-in-ambient", p_in)
-    add("sp-in-ambient", sp_in)
-    add("p-mu-q-invariant", image(q, p_elems, _P, fp) == (p_bits, fp))
-    add("sp-mu-q-invariant", image(q, sp_elems, _SP, fsp) == (sp_bits, fsp))
-    add("sp-equals-s-times-p", image(s, p_elems, _SP, fp) == (sp_bits, fsp))
-    two_parts = (_P | _SP, _P | _P0, _SP | _P0, _P | _SP | _P0)
-    add(
-        "parts-disjoint",
-        fp.isdisjoint(fsp) and not any(map(lab.count, two_parts)),
-    )
-    add(
-        "parts-cover",
-        not fp and not fsp and lab.count(0) == (0 if unit else n),
-    )
-    add("s-squared-fixes-p", image(s * s % nr, p_elems, _P, fp) == (p_bits, fp))
-    return checks
+        members = _p0_range(setting, t)
+        p0 = bytearray(b"0") * n
+        p0[members.start // r :: members.step // r] = b"1" * len(members)
+        c = int(p0, 2)
+    return [
+        CheckEntry(name, passed)
+        for name, passed in (
+            ("t-unit", unit),
+            ("s-in-multiplier-group", math.gcd(s, nr) == 1 and s % r == 1 % r),
+            ("p-in-ambient", not fp and (unit or not a)),
+            ("sp-in-ambient", not fsp and (unit or not b)),
+            ("p-mu-q-invariant", image(q, p_elems, not fp) == P),
+            ("sp-mu-q-invariant", image(q, sp_elems, not fsp) == SP),
+            ("sp-equals-s-times-p", image(s, p_elems, not fp) == SP),
+            ("parts-disjoint", fp.isdisjoint(fsp) and not (a & b or a & c or b & c)),
+            (
+                "parts-cover",
+                not fp and not fsp and (a | b | c).bit_count() == (n if unit else 0),
+            ),
+            ("s-squared-fixes-p", image(s * s % nr, p_elems, not fp) == P),
+        )
+    ]
 
 
 def _factor_check(sp: Splitting, set_ok: bool) -> CheckEntry:

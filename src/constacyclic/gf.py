@@ -50,7 +50,7 @@ section 8.4).  Each coefficient's base-p coordinates go into slots of
 one int, at least 2m - 1 slots per coefficient, each slot wide enough
 that no sum of coordinate products overflows it, so a product of two
 polynomials is one int multiply.  Each output coefficient is then
-reduced once: mod p (in characteristic 2, slot parities read at C
+reduced once: mod p (over F_{2^m}, m > 1, slot parities read at C
 speed) and by the modulus, its digits m..2m-2 folded back over all
 coefficients at once.  A quotient slides a window of len(b) packed
 coefficients down the dividend; each quotient coefficient costs one
@@ -141,8 +141,9 @@ class FieldSpec:
                 if c:
                     mask |= 1 << i
             self._mask = mask
-            # a packed coefficient spans a whole number of bytes of parity
-            # bits, at least the 2m - 1 of an unreduced product
+        # a packed coefficient spans the 2m - 1 digits of an unreduced
+        # product; for F_{2^m}, m > 1, a whole number of bytes of parity bits
+        if p == 2 and m > 1:
             self._group = 8 * _pow2_at_least((2 * m + 6) // 8)
         else:
             self._group = 2 * m - 1
@@ -414,11 +415,11 @@ def _spread_bits(digits: str, wb: int) -> int:
 def _pack(F: FieldSpec, coeffs, wb: int) -> int:
     """Coefficient labels, lowest first, one group each."""
     p, m, G = F.p, F.m, F._group
+    if m == 1:
+        return _to_int(coeffs, wb)
     if p == 2:
         # the labels in whole-byte groups are the coordinate bits
         return _spread_bits(format(_to_int(coeffs, G // 8), f"0{len(coeffs) * G}b"), wb)
-    if m == 1:
-        return _to_int(coeffs, wb)
     slots = [0] * (len(coeffs) * G)
     pj = 1
     for j in range(m):
@@ -432,7 +433,7 @@ def _unpack(F: FieldSpec, x: int, count: int, wb: int) -> list[int]:
 
     The digits m..2m-2 of every group are folded into its low m digits
     at once: digit m+i times the reduced X**(m+i) (F._fold[i]), one
-    multiply-add over the whole int per i.  In characteristic 2 the
+    multiply-add over the whole int per i.  Over F_{2^m}, m > 1, the
     slots are first reduced to their parities at C speed, the low byte
     of each slot mapped to an ASCII digit and read by one int(..., 2);
     the fold is then a xor and each group a whole number of bytes.
@@ -440,7 +441,7 @@ def _unpack(F: FieldSpec, x: int, count: int, wb: int) -> list[int]:
     if not count:
         return []
     p, m, G = F.p, F.m, F._group
-    if p == 2:
+    if p == 2 and m > 1:
         gb = G // 8
         bits = int(x.to_bytes(count * G * wb, "big")[wb - 1::wb].translate(_PARITY), 2)
         first = int.from_bytes((b"\x01" + bytes(gb - 1)) * count, "little")

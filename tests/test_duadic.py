@@ -412,6 +412,9 @@ def _mutations(w):
     ]
     if p:
         out.append((t, s, p[1:], sp, kind))
+        # a residue of P repeated unreduced, and P in negative representatives
+        out.append((t, s, p + (p[0] + nr,), sp, kind))
+        out.append((t, s, tuple(x - nr for x in p), sp, kind))
     rest = sorted(set(st.p_set(t)) - set(p))
     if rest:
         out.append((t, s, p + (rest[0],), sp, kind))
@@ -419,6 +422,7 @@ def _mutations(w):
         foreign = (t + 1) % nr
         out.append((t, s, p + (foreign,), sp, kind))
         out.append((t, s, p, sp + (foreign,), kind))
+        out.append((t, s, p + (foreign,), sp + (foreign,), kind))
         # a whole q-coset of another class in P, with its s-image in sP
         coset, y = [foreign], st.q * foreign % nr
         while y != foreign:
@@ -429,6 +433,12 @@ def _mutations(w):
         )
     if nr > 1:
         out.append((0, s, p, sp, kind))
+    # a non-unit t other than 0, in the class of t mod r where there is one
+    same = (x for x in range(t % st.r, nr, st.r) if x and math.gcd(x, nr) > 1)
+    other = (x for x in range(2, nr) if math.gcd(x, nr) > 1)
+    nonunit = next(same, None) or next(other, None)
+    if nonunit:
+        out.append((nonunit, s, p, sp, kind))
     return out
 
 

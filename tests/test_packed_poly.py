@@ -108,3 +108,10 @@ def test_wider_slots_agree(monkeypatch, p, m):
         monkeypatch.setattr(gf, "_slot_bytes", lambda F, terms: wb)
         assert a * b == want_product
         assert divmod(a, b) == want_quotient
+
+
+@pytest.mark.parametrize("wb", [1, 2, 16])
+def test_gf2_packs_one_slot_per_coefficient(wb):
+    """GF(2) packs like every other prime field, one slot per coefficient."""
+    F = make_field(2, 1)
+    assert gf._pack(F, (1,) * 100, wb).bit_length() <= 8 * 100 * wb
