@@ -52,11 +52,11 @@ that no sum of coordinate products overflows it, so a product of two
 polynomials is one int multiply.  Each output coefficient is then
 reduced once: mod p (over F_{2^m}, m > 1, slot parities read at C
 speed) and by the modulus, its digits m..2m-2 folded back over all
-coefficients at once.  A quotient slides a window of len(b) packed
-coefficients down the dividend; each quotient coefficient costs one
-unpack of the window's top and one small-int multiply-add.  The
-field-specific data (_tail, _mask, _fold, _group) live on each
-FieldSpec.
+coefficients at once.  A quotient is Newton division (section 9.1):
+the dividend, read backwards, times the inverse series of the
+reversed divisor, each of its products one truncated packed
+multiply-add (_mul_add).  The field-specific data (_tail, _mask,
+_fold, _group) live on each FieldSpec.
 """
 
 from __future__ import annotations
@@ -469,41 +469,40 @@ def _poly_mul(F: FieldSpec, a, b) -> list[int]:
     return _unpack(F, _pack(F, a, wb) * _pack(F, b, wb), len(a) + len(b) - 1, wb)
 
 
+def _mul_add(F: FieldSpec, x, y, count: int, z=()) -> list[int]:
+    """The lowest count coefficients of z + x*y, zeros included."""
+    x, y = x[:count], y[:count]
+    wb = _slot_bytes(F, min(len(x), len(y)) + 1)
+    v = _pack(F, z[:count], wb) + _pack(F, x, wb) * _pack(F, y, wb)
+    return _unpack(F, v & (1 << count * F._group * 8 * wb) - 1, count, wb)
+
+
 def _poly_divmod(F: FieldSpec, a, b) -> tuple[list[int], list[int]]:
     """Quotient and remainder coefficients of a by a non-empty b.
 
-    The dividend passes through a window of len(b) packed coefficients.
-    Each step unpacks the top one, t, adds t times the packed -b/lead to
-    the others, and shifts the next dividend coefficient in at the
-    bottom, so a slot receives at most len(b) - 1 products besides its
-    own coordinate before it is unpacked.
+    Newton division (von zur Gathen and Gerhard, section 9.1).  With
+    f = b/lead and k = len(a) - len(b) + 1, the quotient read backwards
+    is the top k coefficients of a, read backwards, times the inverse
+    series g of f read backwards, to k terms.  Each round doubles the
+    known terms of g: if rev(f)*g = 1 + X**l * e, the next l terms are
+    g times -e, the terms l..2l-1 of -rev(f)*g.  The remainder is the
+    low len(b) - 1 terms of a - quotient*f.  A monic b is not scaled,
+    nor is its quotient.
     """
     la, lb = len(a), len(b)
     if la < lb:
         return [], list(a)
-    db = lb - 1
-    inv = F.inv(b[-1])
-    wb = _slot_bytes(F, lb + 1)
-    gw = F._group * 8 * wb
-    top = db * gw
-    rest = (1 << top) - 1
-    neg_b = _pack(F, [F.neg(F.mul(c, inv)) for c in b[:db]], wb)
-    window = _pack(F, a[la - lb:], wb)
-    quot = []
-    for i in range(la - lb - 1, -2, -1):
-        t = _unpack(F, window >> top, 1, wb)[0]
-        quot.append(t)
-        window &= rest
-        if t:
-            window += _pack(F, [t], wb) * neg_b
-        if i >= 0:
-            window <<= gw
-            if a[i]:
-                window += _pack(F, [a[i]], wb)
-    quot.reverse()
-    if inv != 1:
-        quot = [F.mul(c, inv) for c in quot]
-    return quot, _unpack(F, window, db, wb)
+    k, lead = la - lb + 1, b[-1]
+    if lead != 1:
+        inv = F.inv(lead)
+        b = [F.mul(c, inv) for c in b]
+    neg_f, g = [F.neg(c) for c in reversed(b)], [1]
+    while len(g) < k:
+        size = min(2 * len(g), k)
+        g += _mul_add(F, g, _mul_add(F, neg_f, g, size)[len(g):], size - len(g))
+    quot = _mul_add(F, a[:-k - 1:-1], g, k)[::-1]
+    rem = _mul_add(F, quot, neg_f[::-1], lb - 1, a)
+    return (quot if lead == 1 else [F.mul(c, inv) for c in quot]), rem
 
 
 @dataclass(frozen=True)

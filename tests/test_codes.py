@@ -120,6 +120,14 @@ class TestIndexSet:
         assert s.scale(-1).elems == (3, 15)
         assert s.scale(-1).t == 23
 
+    def test_equal_sets_hash_alike(self, st13):
+        """Exponents 1 and 5 agree mod r = 4: one set, one code."""
+        P = (25, 29, 33, 37, 41, 45)
+        a, b = IndexSet(st13, 1, P), IndexSet(st13, 5, P)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        ca, cb = ConstaCode(a), ConstaCode(b)
+        assert ca == cb and hash(ca) == hash(cb) and len({ca, cb}) == 1
+
 
 class TestCodeConstruction:
     def test_dim_two_code(self, st5):

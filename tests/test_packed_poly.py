@@ -16,7 +16,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from constacyclic import Poly, gf, make_field
+from constacyclic import Poly, gf, make_field, make_setting, poly_from_root_set
 from constacyclic.errors import DivideByZero
 
 from oracles import poly_add_reference, poly_divmod_reference, poly_mul_reference
@@ -81,19 +81,34 @@ def test_quotient_matches_schoolbook(ops):
 @pytest.mark.parametrize("p, m", FIELDS)
 def test_edge_shapes(p, m):
     """Zero and constant operands, a non-monic divisor, a divisor longer
-    than the dividend, and a dividend X^n - c by a short divisor."""
+    than the dividend, and dividends X^n - c by a short and a long divisor."""
     F = make_field(p, m)
     top = F.q - 1
     zero, const = Poly(F, ()), Poly(F, (top,))
     long = Poly(F, tuple(i % F.q for i in range(1, 30)))
     short = Poly(F, (1, top, top))
     binomial = gf.poly_x_pow_minus(F, 60, top)
+    # a 132-term quotient, 8 Newton rounds, and a remainder of up to 69 terms
+    long_binomial = gf.poly_x_pow_minus(F, 200, top)
+    wide = Poly(F, tuple((5 * i + 2) % F.q for i in range(69)) + (top,))
     for a, b in [
         (zero, long), (long, zero), (zero, zero), (const, long), (const, const),
         (long, short), (short, long), (binomial, short), (binomial, const),
+        (long_binomial, wide),
     ]:
         check_product(F, a, b)
         check_quotient(F, a, b)
+
+
+def test_coset_polynomial_divides_its_binomial():
+    """X^8191 - 1 over GF(2) by the coset polynomial of {2^i mod 8191}:
+    an 8,179-term quotient, and no remainder."""
+    st = make_setting(2, 8191, 1)
+    b = poly_from_root_set(st.tower, [1 << i for i in range(13)])
+    a = gf.poly_x_pow_minus(st.field, 8191, 1)
+    q, r = divmod(a, b)
+    assert r.is_zero
+    assert (q.coeffs, ()) == poly_divmod_reference(st.field, a.coeffs, b.coeffs)
 
 
 @pytest.mark.parametrize("p, m", FIELDS)
