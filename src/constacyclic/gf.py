@@ -736,6 +736,18 @@ def _embedding(F: FieldSpec, ext: FieldSpec, rho: int) -> list[int]:
     return table
 
 
+def _least_by_coords(F: FieldSpec, labels: list[int]) -> int:
+    """The label of least coords() among distinct labels, with no tuple
+    built: the candidates are filtered by their base-p digits, lowest
+    digit first, until one is left."""
+    p, unit = F.p, 1
+    while len(labels) > 1 and unit < F.q:
+        low = min(a // unit % p for a in labels)
+        labels = [a for a in labels if a // unit % p == low]
+        unit *= p
+    return labels[0]
+
+
 def build_tower(setting) -> FieldTower:
     """Minimal extension of the setting's field holding a suitable theta.
 
@@ -743,7 +755,8 @@ def build_tower(setting) -> FieldTower:
     the least-coordinate zeta**k, k a unit mod nr, with zeta**(k*n) the
     embedded unit; theta**j = zeta**(k*j) from the same table of zeta's
     powers (_root_powers), and rho is the least-coordinate root of the
-    base modulus.  The power table, the root search and the embedding
+    base modulus; both minima are taken digit by digit
+    (_least_by_coords).  The power table, the root search and the embedding
     are each a few packed products (_powers, _base_modulus_roots,
     _embedding).  theta's order is read from theta_pows: theta**nr is
     theta_pows[nr - 1] * theta, and each theta**(nr/ell) a lookup.
@@ -757,7 +770,7 @@ def build_tower(setting) -> FieldTower:
         # the prime field holds labels 0..p-1 of every extension
         embed_table = None
     else:
-        rho = min(_base_modulus_roots(F, ext), key=ext.coords)
+        rho = _least_by_coords(ext, _base_modulus_roots(F, ext))
         embed_table = _embedding(F, ext, rho)
 
     lam_ext = setting.lam if embed_table is None else embed_table[setting.lam]
@@ -765,7 +778,8 @@ def build_tower(setting) -> FieldTower:
     units = [k for k in range(nr) if pows[k * n % nr] == lam_ext and math.gcd(k, nr) == 1]
     if not units:
         raise Internal("no admissible root of unity found")
-    k = min(units, key=lambda k: ext.coords(pows[k]))
+    labels = [pows[k] for k in units]
+    k = units[labels.index(_least_by_coords(ext, labels))]
     theta_pows = tuple(pows[k * j % nr] for j in range(nr))
     if ext.mul(theta_pows[-1], theta_pows[1 % nr]) != 1 or any(
             theta_pows[nr // ell] == 1 for ell, _ in factorize(nr)):

@@ -36,8 +36,9 @@ KINDS = ("drop", "float", "bool", "str", "list", "object", "null", "residue")
 @pytest.fixture(scope="module")
 def certs():
     out = []
-    # prime field, extension field, and a tower over the size cap
-    for q, n, lam in [(5, 6, 2), (13, 14, 5), (4, 21, "0 1"), (5, 22, 2)]:
+    # prime field, extension field, a tower over the size cap, and a
+    # length whose multiplier checks compare pullbacks
+    for q, n, lam in [(5, 6, 2), (13, 14, 5), (4, 21, "0 1"), (5, 22, 2), (3, 202, 2)]:
         st_ = make_setting(q, n, lam)
         out.append((certificate(construct_type2(st_)), st_.nr))
     return out

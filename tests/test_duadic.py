@@ -655,6 +655,98 @@ class TestLargerN:
                 t, s, kind, len(p), len(sp)
             )
 
+    @pytest.mark.parametrize(
+        "q,n,lam,reason,s_mod_n",
+        [
+            pytest.param(13, 4098, 5, "n_r-even", 4097, id="n_r-even-q13-n4098"),
+            pytest.param(13, 4099, 5, "odd-square", 3835, id="odd-square-q13-n4099"),
+            pytest.param(3, 4100, 2, "TypeI-even-quotient", 1, id="type1-q3-n4100"),
+        ],
+    )
+    def test_pullback_checks_match_reference(
+        self, monkeypatch, q, n, lam, reason, s_mod_n
+    ):
+        """Above the crossover every mutation's multiplier checks run as
+        pullback comparisons where they apply, and give the literal
+        booleans; blocks of 1000 indices leave a last block that runs
+        past n."""
+        from constacyclic import duadic
+
+        monkeypatch.setattr(duadic, "_PULLBACK_BLOCK", 1000)
+        calls = []
+        real = duadic._pullback
+        monkeypatch.setattr(
+            duadic, "_pullback", lambda *args: calls.append(1) or real(*args)
+        )
+        v = exists_type2(make_setting(q, n, lam))
+        w = v.witness
+        assert (v.reason, w.s % n) == (reason, s_mod_n)
+        assert n >= duadic._PULLBACK_MIN_N
+        for t, s, p, sp, kind in _mutations(w):
+            want = oracles.set_check_reference(w.setting, t, s, p, sp, kind)
+            got = duadic._set_checks(w.setting, t, s, p, sp, kind)
+            assert [(c.name, c.passed) for c in got] == want, (
+                t, s, kind, len(p), len(sp)
+            )
+        assert calls
+
+
+class TestPullback:
+    def test_pullback_matches_formula(self):
+        """One strided slice per wrap gives ind[(w*j + c) mod n] at every j,
+        for either sign of w, n = 1 and n = 2 included, and past j = n."""
+        from constacyclic.duadic import _pullback
+
+        for n in range(1, 65):
+            ind = bytes(range(n))
+            # ind[x] = x, so want is (w*j) mod n with c added to each value
+            shift = [bytes((x + c) % n for x in range(256)) for c in range(n)]
+            counts = (0, 1, n, 2 * n + 1, 3 * n) if n <= 16 else (n,)
+            for w in range(-n, n + 1):
+                if w == 0:
+                    continue
+                for count in counts:
+                    base = bytes(w * j % n for j in range(count))
+                    for c in range(n):
+                        want = base.translate(shift[c])
+                        assert _pullback(ind, w, c, count) == want, (n, w, c, count)
+
+    def test_euclid_pair(self):
+        """u = a*v mod n with v a unit, for every unit a mod n <= 512, the
+        composite n included, and both within the pullback's range."""
+        from constacyclic.duadic import _euclid_pair
+
+        for n in range(1, 513):
+            for a in range(n):
+                if math.gcd(a, n) != 1:
+                    continue
+                u, v = _euclid_pair(a, n)
+                assert (u - a * v) % n == 0 and math.gcd(v, n) == 1, (a, n)
+                assert 0 < abs(u) <= n and 0 < abs(v) <= n, (a, n)
+                assert abs(u) + abs(v) <= a % n + 1 or n == 1, (a, n)
+        assert _euclid_pair(220601, 500111) == (263, 399)
+
+    def test_multiplier_outside_the_group_keeps_the_literal_check(self):
+        """P = sP = the whole class: the pullbacks of two full indicators
+        agree for any s, yet s*P is the class only when s is a unit that
+        is 1 mod r.  A non-unit s = 1 mod r, and a unit s != 1 mod r,
+        must fail sp-equals-s-times-p as the literal comparison does."""
+        from constacyclic.duadic import _PULLBACK_MIN_N, _set_checks
+
+        st = make_setting(13, 4098, 5)
+        nr, r = st.nr, st.r
+        assert st.n >= _PULLBACK_MIN_N and r > 1
+        whole = st.p_set(1)
+        nonunits = [s for s in range(1, 100, r) if math.gcd(s, nr) > 1][:3]
+        units = [s for s in range(2, 100) if math.gcd(s, nr) == 1]
+        off_class = [s for s in units if s % r != 1][:3]
+        for s in [1, 5] + nonunits + off_class:
+            for kind in SplittingKind:
+                want = oracles.set_check_reference(st, 1, s, whole, whole, kind)
+                got = _set_checks(st, 1, s, whole, whole, kind)
+                assert [(c.name, c.passed) for c in got] == want, s
+                assert dict(want)["sp-equals-s-times-p"] is (s in (1, 5)), s
+
 
 class TestWitnessCap:
     def test_cap_is_inclusive(self, monkeypatch, st13):

@@ -29,6 +29,7 @@ from constacyclic.errors import (
 )
 from constacyclic.gf import poly_one, poly_x_pow_minus
 
+from conftest import sweep_settings
 from oracles import (
     _int_poly_rem,
     cosets,
@@ -433,6 +434,27 @@ class TestTower:
             assert tw.theta == best, st
             checked += 1
         assert checked > 300
+
+    def test_theta_is_the_coords_minimum(self):
+        """The digit-by-digit tie-break picks the unit that a min over
+        coordinate tuples picks, for every tower under the cap with
+        q <= 16, n <= 60, and at n = 8191 over GF(2)."""
+        checked = 0
+        for st in sweep_settings(16, 60) + [make_setting(2, 8191, 1)]:
+            try:
+                tw = st.tower
+            except TooLarge:
+                continue
+            E, n, nr = tw.ext, st.n, st.nr
+            pows = gf._root_powers(E, nr)
+            lam = tw.embed(st.lam)
+            units = [
+                k for k in range(nr)
+                if math.gcd(k, nr) == 1 and pows[k * n % nr] == lam
+            ]
+            assert tw.theta == pows[min(units, key=lambda k: E.coords(pows[k]))], st
+            checked += 1
+        assert checked > 600
 
     def test_embedding_matches_bruteforce_rule(self, sweep):
         """X maps to the least-coordinate root of the base modulus mu, found
