@@ -18,9 +18,10 @@ verify_splitting alone checks.  Splittings are built and checked on
 P_{n,lambda^t} by index: a member x is t mod r, so i = x // r is exact
 and runs over [0, n).  A construction labels every member P, sP or P0
 in one bytearray(n) and reads P and sP out of it already sorted; the
-checks hold each set as a bytearray(n) indicator, and from n = 192 on
-compare the multiplier images a*X = Y as two strided pullbacks of
-those indicators (see _set_checks).  Witnesses and
+checks hold each set as a bytearray(n) indicator, read for P and sP
+as one strided slice of a bytearray(nr) keyed by residue, and from
+n = 192 on compare the multiplier images a*X = Y as two strided
+pullbacks of those indicators (see _set_checks).  Witnesses and
 certificates are refused above MAX_WITNESS_LENGTH, before anything of
 size n is allocated.  Each built splitting, Type-I or Type-II, is
 verified once, in full, by self_checked.
@@ -48,6 +49,9 @@ _TYPE1_REASON = "TypeI-even-quotient"
 # and the indices each pullback covers at a time
 _PULLBACK_MIN_N = 192
 _PULLBACK_BLOCK = 1 << 16
+# bytes of nr-long residue-keyed indicator _set_checks allows per
+# listed member (see there)
+_KEYED_BYTES_PER_MEMBER = 32
 
 
 class SplittingKind(str, Enum):
@@ -444,6 +448,18 @@ def _set_checks(setting, t, s, p_elems, sp_elems, kind):
     a*X = Y gives the boolean of the literal set comparison, in one of
     two ways.
 
+    The pairs of P and sP are read by residue: one byte store
+    full[x] = 1 per listed member into a bytearray(nr), which places a
+    member x in [-nr, nr) at x mod nr; the class-h indicator is then
+    the strided slice full[h::r], and the members all lie in the class
+    when nothing else of full is set.  A member out of that range, not
+    an int, or outside the class sends the set to the per-residue
+    image, which builds the same pair with its other members.  The
+    route is taken when nr <= _KEYED_BYTES_PER_MEMBER * len(X), 32
+    bytes per member: less than the list already holds for each (an
+    8-byte slot and a 28-byte int), so a short list over a huge
+    modulus allocates nothing of size nr.
+
     When X and Y lie in class h = t mod r and a is a unit mod nr with
     a = 1 mod r, a acts on the indices as f(i) = (a*i + c) mod n, with
     c = h*(a - 1)/r.  So a*X = Y exactly when B_X[v*j mod n] equals
@@ -492,8 +508,24 @@ def _set_checks(setting, t, s, p_elems, sp_elems, kind):
                 other.add(y)
         return ind, other
 
+    def indicator(elems):
+        """image(1, elems), keyed by residue where the list allows it."""
+        if nr <= _KEYED_BYTES_PER_MEMBER * len(elems):
+            full = bytearray(nr)
+            try:
+                for x in elems:
+                    full[x] = 1
+            except (IndexError, TypeError):
+                pass
+            else:
+                ind = full[h::r]
+                full[h::r] = bytes(n)
+                if full.find(1) < 0:
+                    return ind, set()
+        return image(1, elems)
+
     def maps(a, elems, X, Y):
-        """Whether a*X = Y, for X = image(1, elems) and a pair Y."""
+        """Whether a*X = Y, for X = indicator(elems) and a pair Y."""
         if (n >= _PULLBACK_MIN_N and not X[1] and not Y[1]
                 and a % r == 1 % r and math.gcd(a, nr) == 1):
             u, v = _euclid_pair(a, n)
@@ -507,8 +539,8 @@ def _set_checks(setting, t, s, p_elems, sp_elems, kind):
             )
         return image(a, elems, not X[1]) == Y
 
-    P = image(1, p_elems)
-    SP = image(1, sp_elems)
+    P = indicator(p_elems)
+    SP = indicator(sp_elems)
     fp, fsp = P[1], SP[1]
     # one bit per index: the indicator's bytes read as binary digits
     digits = bytes.maketrans(b"\0\1", b"01")
@@ -714,10 +746,12 @@ def verify_certificate(cert: dict) -> tuple[VerifyResult, dict]:
 
     Every check runs.  Raises ValueError when the certificate is not a
     dict, its P, sP or P0 entry is not a list, q, n, t, s or r or a
-    residue in P, sP or P0 is anything but a JSON integer, or lambda is
-    a float or a boolean.  Floats, booleans and strings are refused
-    rather than converted; lambda is text or an integer.  Once those
-    types are checked, raises TooLarge when n exceeds MAX_WITNESS_LENGTH.
+    residue in P, sP or P0 is anything but a JSON integer, lambda is
+    a float or a boolean, or one of q, n, lambda, s, P and sP is
+    missing; the message names the field.  Floats, booleans and
+    strings are refused rather than converted; lambda is text or an
+    integer.  Once those fields are checked, raises TooLarge when n
+    exceeds MAX_WITNESS_LENGTH.
     """
     if not isinstance(cert, dict):
         raise ValueError("certificate must be a JSON object")
@@ -735,6 +769,9 @@ def verify_certificate(cert: dict) -> tuple[VerifyResult, dict]:
             raise ValueError(f"certificate entry {key!r} must be a list")
         if not set(map(type, cert.get(key, ()))) <= {int}:
             raise ValueError(f"certificate entry {key!r} holds a non-integer")
+    for key in ("q", "n", "lambda", "s", "P", "sP"):
+        if key not in cert:
+            raise ValueError(f"certificate field {key!r} is missing")
     try:
         setting = make_setting(cert["q"], cert["n"], cert["lambda"])
     except TypeError as exc:

@@ -97,6 +97,17 @@ class TestSplitVerify:
         assert out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("key", ["q", "n", "lambda", "s", "P", "sP"])
+    def test_missing_field_exits_two_naming_it(self, capsys, monkeypatch, key):
+        code, out, _ = run(capsys, "split", "--q", "5", "--n", "6", "--lambda", "2")
+        cert = json.loads(out)
+        del cert[key]
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(cert)))
+        code, out, err = run(capsys, "verify")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: certificate field {key!r} is missing\n"
+
     @pytest.mark.parametrize("exc", [NoSplitting, Internal, DivideByZero])
     def test_library_failures_exit_two(self, capsys, monkeypatch, exc):
         def boom(args):
@@ -252,6 +263,40 @@ class TestCodeReports:
         assert payload["dimension"] == 6
         assert payload["min_distance"] == 9
         assert payload["check_set"] == [25, 29, 33, 37, 41, 45]
+
+    @pytest.mark.parametrize(
+        "q,n,dim,d",
+        [
+            (2, 7, 4, 3),
+            (2, 17, 9, 5),
+            (2, 23, 12, 7),
+            (2, 31, 16, 7),
+            (2, 41, 21, 9),
+            pytest.param(3, 11, 6, 5, id="ternary-golay"),
+            (3, 13, 7, 5),
+        ],
+    )
+    @pytest.mark.parametrize("even", [False, True], ids=["odd-like", "even-like"])
+    def test_classical_quadratic_residue_codes(self, capsys, q, n, dim, d, even):
+        """The QR codes with check set QR + {0}, and their even-like
+        subcodes with check set QR, one dimension less and d one more."""
+        qr = sorted({x * x % n for x in range(1, n)})
+        check = qr if even else [0] + qr
+        code, out, _ = run(
+            capsys,
+            "code",
+            "--q", str(q),
+            "--n", str(n),
+            "--lambda", "1",
+            "--P", ",".join(map(str, check)),
+            "--distance",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["check_set"] == check
+        assert (payload["dimension"], payload["min_distance"]) == (
+            dim - even, d + even
+        )
 
     def test_dual_report(self, capsys):
         code, out, _ = run(

@@ -690,6 +690,67 @@ class TestLargerN:
             )
         assert calls
 
+    @pytest.mark.parametrize(
+        "q,n,lam",
+        [
+            pytest.param(13, 4098, 5, id="n_r-even-q13-n4098"),
+            pytest.param(3, 4100, 2, id="type1-q3-n4100"),
+        ],
+    )
+    def test_residue_keyed_indicators_match_reference(self, q, n, lam):
+        """The P and sP indicators read by residue give the literal
+        booleans on unreduced, out-of-range, repeated, reordered,
+        off-class and non-int members, and on True as a member."""
+        from constacyclic.duadic import _set_checks
+
+        w = exists_type2(make_setting(q, n, lam)).witness
+        st, t, s, p, sp, kind = w.setting, w.t, w.s, w.p, w.sp, w.kind
+        nr = st.nr
+        assert n >= 192 and nr <= 32 * len(p)
+        shift = lambda xs, d: tuple(x + d for x in xs)
+        cases = [
+            (shift(p, -nr), shift(sp, -nr)),
+            (shift(p, nr), shift(sp, nr)),
+            (shift(p, -nr), sp),
+            (p, shift(sp, nr)),
+            (p + (-nr - 1,), sp),
+            (p, sp + (2**64,)),
+            (p + p, sp + sp[:5]),
+            (p[::-1], sp[::-1]),
+            (p + ((t + 1) % nr,), sp),
+            (p, sp + (2.5,)),
+        ]
+        for pc, spc in cases:
+            want = oracles.set_check_reference(st, t, s, pc, spc, kind)
+            got = _set_checks(st, t, s, pc, spc, kind)
+            assert [(c.name, c.passed) for c in got] == want, (len(pc), len(spc))
+        # True stands for the residue 1, which lies in class t mod r
+        for hand in (
+            Splitting(st, t, s, p + (True,), sp, kind),
+            Splitting(st, t, s, (True,) + sp, p, kind),
+        ):
+            want = oracles.set_check_reference(st, t, s, hand.p, hand.sp, kind)
+            got = verify_splitting(hand).checks[:-1]
+            assert [(c.name, c.passed) for c in got] == want
+
+    def test_short_list_over_a_huge_modulus_allocates_little(self):
+        """P = [x] at nr >= 2^24 keeps the per-residue image: nothing of
+        size nr is allocated, only a few indicators of n = nr/256 bytes."""
+        import tracemalloc
+
+        from constacyclic.duadic import _set_checks
+
+        st = make_setting(257, 65537, 3)
+        assert st.nr >= 1 << 24
+        tracemalloc.start()
+        try:
+            got = _set_checks(st, 1, 1, (1,), (), SplittingKind.TYPE_II)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dict((c.name, c.passed) for c in got)["p-in-ambient"]
+        assert peak < st.nr // 16, peak
+
 
 class TestPullback:
     def test_pullback_matches_formula(self):
